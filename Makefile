@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench bench-service bench-trace bench-replay-scaling validate-timing sweep-smoke sample-smoke bench-sampling
+.PHONY: check fmt-check vet build test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench bench-service bench-trace bench-replay-scaling validate-timing sweep-smoke sample-smoke bench-sampling perfbench-check
 
 # check is the full gate: formatting, static analysis, build, the
 # race-enabled test suite, and an end-to-end experiments smoke run.
@@ -23,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-check vets and tests the repository benchmark. perfbench is
+# its own Go module (it replaces bioperfload with this checkout), so the
+# root `go build ./...` never compiles it and an API change could break
+# it silently.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # race-concurrent stresses the concurrency-heavy packages — shard
 # workers and pass merges, decode pools and slab recycling, the job

@@ -13,10 +13,9 @@
 // cache, branch prediction, dependence chains, and branch-to-load
 // sequences — each a self-contained state machine over the committed
 // stream. Live analysis (Observe/ObserveBatch) runs the passes back to
-// back over every slab; AnalyzeParallel runs each pass on its own
-// goroutine over a recorded trace, which is exact (not sampled) because
-// the passes share no state beyond the per-branch mispredict bits the
-// predictor pass hands to the dependence pass.
+// back over every slab; AnalyzeRuns replays a recorded trace's run
+// columns through the block-characterized engine, exactly (not
+// sampled), with the predictor and cache lanes sharded across workers.
 package loadchar
 
 import (

@@ -70,22 +70,6 @@ func (p *mixPass) observe(evs []sim.Event) {
 	}
 }
 
-// merge folds another shard's mix state into p. Every field is a pure
-// sum, so the pass is order-insensitive and the merge is exact.
-func (p *mixPass) merge(o *mixPass) {
-	for i := range p.classCounts {
-		p.classCounts[i] += o.classCounts[i]
-	}
-	p.fpCount += o.fpCount
-	p.fpLoads += o.fpLoads
-	p.total += o.total
-	for pc, c := range o.counts {
-		if c != 0 {
-			p.counts[pc] += c
-		}
-	}
-}
-
 // --- cache pass: memory hierarchy + per-static-load L1 misses ---
 
 type cachePass struct {
@@ -317,12 +301,6 @@ type seqPass struct {
 	lastBranchPC  int32
 	lastBranchSeq uint64
 	haveBranch    bool
-	// minSeq mutes counting for consumptions before it. A shard worker
-	// primes the pass with the warm-up window preceding its range (see
-	// AnalyzeSharded); those events rebuild the branch/pending state but
-	// their own consumptions belong to the previous shard and were
-	// already counted there.
-	minSeq uint64
 	// afterBranch counts, per load PC and branch PC, how often the load
 	// (with a tight consumer) executed right after the branch.
 	afterBranch map[int32]map[int32]uint64
@@ -333,22 +311,6 @@ type seqPass struct {
 }
 
 func (p *seqPass) init() { p.afterBranch = make(map[int32]map[int32]uint64) }
-
-// merge folds another shard's sequence counts into p. Each count is
-// attributed at consume time, and a shard only counts consumptions
-// inside its own range (minSeq), so summing shard states is exact.
-func (p *seqPass) merge(o *seqPass) {
-	for loadPC, ab := range o.afterBranch {
-		dst := p.afterBranch[loadPC]
-		if dst == nil {
-			dst = make(map[int32]uint64, len(ab))
-			p.afterBranch[loadPC] = dst
-		}
-		for brPC, n := range ab {
-			dst[brPC] += n
-		}
-	}
-}
 
 func (p *seqPass) observe(evs []sim.Event) {
 	for i := range evs {
@@ -398,7 +360,7 @@ func (p *seqPass) consume(in *isa.Inst, seq uint64) {
 			pd.active = false
 			return
 		}
-		if pd.afterBranch >= 0 && seq >= p.minSeq {
+		if pd.afterBranch >= 0 {
 			if p.rec != nil {
 				p.rec(pd.loadPC, pd.afterBranch)
 			} else {

@@ -12,12 +12,12 @@ import (
 	"bioperfload/internal/trace"
 )
 
-// TestReplayAnalyzeShardedMatchesSequential is the shard-fidelity
+// TestReplayAnalyzeWorkersMatchLive is the shard-fidelity
 // golden test: ReplayAnalyze with shards forced on (small chunks, many
 // workers) must render a profile byte-identical to both the sequential
-// replay and the live analysis — warm-up windows and the minSeq gate
+// replay and the live analysis — the predictor and cache lane splits
 // have to hide every shard boundary.
-func TestReplayAnalyzeShardedMatchesSequential(t *testing.T) {
+func TestReplayAnalyzeWorkersMatchLive(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"hmmsearch", "predator"} {
 		p, err := bio.ByName(name)
@@ -65,80 +65,6 @@ func TestReplayAnalyzeShardedMatchesSequential(t *testing.T) {
 			if got := loadchar.RenderProfile(name, "test", a, 10); got != want {
 				t.Errorf("%s jobs=%d: sharded replay profile differs from live:\n--- live ---\n%s\n--- sharded ---\n%s",
 					name, jobs, want, got)
-			}
-		}
-	}
-}
-
-// TestReplayCrossVersionProfileMatrix is the back-compat golden
-// matrix: one simulated run recorded simultaneously at every trace
-// format version must replay to a profile byte-identical to the live
-// analysis — v1 through the sequential reader, v2+ through the
-// indexed sharded engine at several worker counts.
-func TestReplayCrossVersionProfileMatrix(t *testing.T) {
-	ctx := context.Background()
-	const name = "hmmsearch"
-	p, err := bio.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := p.Compile(false, compiler.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.New(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Bind(m, bio.SizeTest); err != nil {
-		t.Fatal(err)
-	}
-	live := loadchar.New(prog)
-	m.AddBatchObserver(live)
-	bufs := make([]bytes.Buffer, trace.FormatVersion)
-	tws := make([]*trace.Writer, trace.FormatVersion)
-	for v := 1; v <= trace.FormatVersion; v++ {
-		tws[v-1] = trace.NewWriterVersion(&bufs[v-1],
-			trace.Meta{Program: name, Size: "test", ChunkEvents: 4096}, prog, v)
-		m.AddBatchObserver(tws[v-1])
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v, tw := range tws {
-		if err := tw.Close(); err != nil {
-			t.Fatalf("v%d: close: %v", v+1, err)
-		}
-	}
-	want := loadchar.RenderProfile(name, "test", live, 10)
-
-	for v := 1; v <= trace.FormatVersion; v++ {
-		data := bufs[v-1].Bytes()
-		if v == 1 {
-			tr, err := trace.NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("v1: %v", err)
-			}
-			a := loadchar.New(prog)
-			if _, err := tr.Replay(ctx, prog, a); err != nil {
-				t.Fatalf("v1: replay: %v", err)
-			}
-			if got := loadchar.RenderProfile(name, "test", a, 10); got != want {
-				t.Errorf("v1: sequential replay profile differs from live")
-			}
-			continue
-		}
-		for _, jobs := range []int{1, 4, 8} {
-			ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				t.Fatalf("v%d: %v", v, err)
-			}
-			a, err := ReplayAnalyze(ctx, prog, ir, jobs)
-			if err != nil {
-				t.Fatalf("v%d jobs=%d: %v", v, jobs, err)
-			}
-			if got := loadchar.RenderProfile(name, "test", a, 10); got != want {
-				t.Errorf("v%d jobs=%d: replay profile differs from live", v, jobs)
 			}
 		}
 	}

@@ -2,6 +2,10 @@ package runner
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +14,7 @@ import (
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/loadchar"
 	"bioperfload/internal/store"
+	"bioperfload/internal/trace"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -171,6 +176,68 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 	}
 	if st := s3.Stats(); st.Runs != 0 || st.ProfileHits+st.ReplayRuns != 1 {
 		t.Fatalf("re-recorded artifacts not served warm: %+v", st)
+	}
+}
+
+// TestStoreRetiredTraceFormatReRecords puts a trace in each retired
+// format (v1–v3) under a program's trace key: the next characterization
+// must evict it, simulate cold, and record a fresh v4 trace in its
+// place, with the profile unchanged.
+func TestStoreRetiredTraceFormatReRecords(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSession(1).Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), ref.Analysis, 10)
+	fp := Fingerprint(p, false, compiler.Default())
+	key := traceKey(fp, bio.SizeTest)
+	for v := 1; v <= 3; v++ {
+		st := openStore(t, t.TempDir())
+		// The retired writers are gone, so the header is handcrafted:
+		// magic, meta document, meta CRC, then an empty data section.
+		meta := fmt.Sprintf(`{"program":%q,"fingerprint":%q,"size":"test","chunk_events":16384,"compression":"flate"}`, p.Name, fp)
+		old := []byte(fmt.Sprintf("BPTRACE%d", v))
+		old = binary.AppendUvarint(old, uint64(len(meta)))
+		old = append(old, meta...)
+		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE([]byte(meta)))
+		old = append(old, 0)
+		if err := st.PutBytes(key, old); err != nil {
+			t.Fatal(err)
+		}
+
+		s := NewSessionWithStore(1, st)
+		prof, err := s.Characterize(ctx, p, bio.SizeTest)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		if prof.Source != "cold" {
+			t.Errorf("v%d: served from %q, want cold", v, prof.Source)
+		}
+		if stats := s.Stats(); stats.Runs != 1 || stats.ColdChars != 1 || stats.ReplayRuns != 0 {
+			t.Errorf("v%d: retired trace not re-simulated: %+v", v, stats)
+		}
+		if got := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof.Analysis, 10); got != want {
+			t.Errorf("v%d: profile differs from the reference", v)
+		}
+
+		rc, size, ok := st.OpenReader(key)
+		if !ok {
+			t.Fatalf("v%d: no trace recorded back under the key", v)
+		}
+		ir, err := trace.NewIndexedReader(rc.(io.ReaderAt), size)
+		rc.Close()
+		if err != nil {
+			t.Fatalf("v%d: recorded-back trace does not open: %v", v, err)
+		}
+		if ir.TotalEvents() != prof.Instructions {
+			t.Errorf("v%d: recorded-back trace holds %d events, run committed %d", v, ir.TotalEvents(), prof.Instructions)
+		}
+		st.Close()
 	}
 }
 

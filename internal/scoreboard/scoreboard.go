@@ -56,8 +56,8 @@ const (
 type Model struct {
 	cfg    pipeline.Config
 	hier   *cache.Hierarchy
-	pred   *densePredictor
-	custom bpred.Predictor // overrides pred when cfg.Predictor is set
+	pred   *bpred.DenseShard // the paper hybrid, PC-indexed
+	custom bpred.Predictor   // overrides pred when cfg.Predictor is set
 
 	stats pipeline.Stats
 
@@ -124,7 +124,7 @@ func NewModel(cfg pipeline.Config) *Model {
 	if cfg.Predictor != nil {
 		m.custom = cfg.Predictor()
 	} else {
-		m.pred = newDensePredictor(bpred.DefaultHybridConfig())
+		m.pred = bpred.NewPaperDenseShard()
 	}
 	return m
 }
@@ -235,7 +235,7 @@ func (m *Model) observe(ev *sim.Event) {
 			miss = m.custom.Predict(ev.PC) != ev.Taken
 			m.custom.Update(ev.PC, ev.Taken)
 		} else {
-			miss = m.pred.observe(ev.PC, ev.Taken)
+			miss = m.pred.Observe(ev.PC, ev.Taken)
 		}
 		if miss {
 			m.stats.Mispredicts++

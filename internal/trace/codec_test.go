@@ -1,71 +1,57 @@
 package trace
 
 import (
-	"math"
-	"math/rand"
 	"testing"
+
+	"bioperfload/internal/sim"
 )
 
-func randomRecords(r *rand.Rand, n int) []Record {
-	recs := make([]Record, n)
-	pc := int32(0)
-	for i := range recs {
-		// Mostly small forward steps with occasional long jumps, like a
-		// real committed-instruction stream.
-		switch r.Intn(10) {
-		case 0:
-			pc = int32(r.Intn(1 << 20))
-		default:
-			pc += int32(r.Intn(8))
-		}
-		rec := Record{PC: pc, Target: pc + 1}
-		if r.Intn(4) == 0 {
-			rec.Target = int32(r.Intn(1 << 20))
-			rec.Taken = r.Intn(2) == 0
-		}
-		if r.Intn(3) == 0 {
-			rec.Addr = uint64(r.Intn(1 << 30))
-		}
-		recs[i] = rec
+// encodeChunk encodes evs as one chunk with a fresh writer and returns
+// the payload plus the writer's dictionary, loaded the way an indexed
+// reader loads the footer copy and bound to the stream's program.
+func encodeChunk(t *testing.T, base uint64, evs []sim.Event) ([]byte, *v4Dict) {
+	t.Helper()
+	prog := testProgramMixed(1 << 12)
+	vw := newV4Writer(prog)
+	data, _, err := vw.appendChunk(nil, base, recordsOf(evs))
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	return recs
+	dict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+	if err != nil {
+		t.Fatalf("footer dictionary: %v", err)
+	}
+	if err := dict.bindShared(prog); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	return data, dict
 }
 
+// TestChunkRoundTrip encodes run-representable streams of awkward
+// lengths at several base sequence numbers and decodes each chunk back
+// to exactly the recorded events, bound to the program.
 func TestChunkRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	cases := [][]Record{
-		{},
-		{{PC: 0, Target: 1}},
-		{{PC: 5, Target: 6, Addr: 0x1000, Taken: true}},
-		{
-			{PC: math.MaxInt32, Target: math.MinInt32, Addr: math.MaxUint64, Taken: true},
-			{PC: math.MinInt32, Target: math.MaxInt32, Addr: 1},
-		},
-		randomRecords(r, 1),
-		randomRecords(r, 7),
-		randomRecords(r, 8),
-		randomRecords(r, 9),
-		randomRecords(r, 1000),
-		randomRecords(r, ChunkEvents),
-	}
-	for ci, recs := range cases {
-		for version := 1; version <= FormatVersion; version++ {
-			for _, base := range []uint64{0, 1, 1 << 40} {
-				buf := appendChunk(nil, base, recs, version)
-				gotBase, got, err := decodeChunk(buf, nil, version)
-				if err != nil {
-					t.Fatalf("case %d v%d base %d: decode: %v", ci, version, base, err)
-				}
-				if gotBase != base {
-					t.Fatalf("case %d: base %d, want %d", ci, gotBase, base)
-				}
-				if len(got) != len(recs) {
-					t.Fatalf("case %d: %d records, want %d", ci, len(got), len(recs))
-				}
-				for i := range recs {
-					if got[i] != recs[i] {
-						t.Fatalf("case %d record %d: got %+v want %+v", ci, i, got[i], recs[i])
-					}
+	prog := testProgramMixed(1 << 12)
+	for _, n := range []int{1, 7, 8, 9, 1000, ChunkEvents} {
+		evs := testEventStream(n, prog)
+		for _, base := range []uint64{0, 1, 1 << 40} {
+			data, dict := encodeChunk(t, base, evs)
+			var sc v4Scratch
+			gotBase, got, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+			if err != nil {
+				t.Fatalf("n=%d base %d: decode: %v", n, base, err)
+			}
+			if gotBase != base {
+				t.Fatalf("n=%d: base %d, want %d", n, gotBase, base)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d: %d events", n, len(got))
+			}
+			for i := range evs {
+				want := evs[i]
+				want.Seq = base + uint64(i)
+				if got[i] != want {
+					t.Fatalf("n=%d base %d event %d: got %+v want %+v", n, base, i, got[i], want)
 				}
 			}
 		}
@@ -73,61 +59,54 @@ func TestChunkRoundTrip(t *testing.T) {
 }
 
 func TestChunkDecodeRecyclesBuffer(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	big := randomRecords(r, 500)
-	small := randomRecords(r, 20)
-	buf := appendChunk(nil, 0, big, FormatVersion)
-	_, recs, err := decodeChunk(buf, nil, FormatVersion)
+	prog := testProgramMixed(1 << 12)
+	big, bigDict := encodeChunk(t, 0, testEventStream(500, prog))
+	small := testEventStream(20, prog)
+	smallData, smallDict := encodeChunk(t, 0, small)
+	var sc v4Scratch
+	_, evs, err := decodeChunkEventsV4(big, prog, bigDict, nil, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2 := appendChunk(nil, 500, small, FormatVersion)
-	_, recs2, err := decodeChunk(buf2, recs, FormatVersion)
+	_, evs2, err := decodeChunkEventsV4(smallData, prog, smallDict, evs, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs2) != len(small) {
-		t.Fatalf("recycled decode returned %d records, want %d", len(recs2), len(small))
-	}
-	for i := range small {
-		if recs2[i] != small[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, recs2[i], small[i])
-		}
-	}
-	if &recs2[0] != &recs[0] {
+	checkEvents(t, evs2, small)
+	if &evs2[0] != &evs[0] {
 		t.Error("decode did not reuse the provided buffer")
 	}
 }
 
 func TestChunkDecodeRejectsCorruption(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	recs := randomRecords(r, 100)
-	for version := 1; version <= FormatVersion; version++ {
-		buf := appendChunk(nil, 42, recs, version)
+	prog := testProgramMixed(1 << 12)
+	buf, dict := encodeChunk(t, 42, testEventStream(100, prog))
+	decode := func(data []byte) error {
+		var sc v4Scratch
+		_, _, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+		return err
+	}
+	if err := decode(buf); err != nil {
+		t.Fatalf("pristine chunk rejected: %v", err)
+	}
 
-		// Truncation at every prefix length must error, never panic.
-		for n := 0; n < len(buf); n++ {
-			if _, _, err := decodeChunk(buf[:n], nil, version); err == nil {
-				// A prefix can occasionally decode as a smaller valid chunk
-				// only if every stream happens to terminate; with trailing
-				// bytes rejected that means the count shrank, which the
-				// varint layout cannot produce from a prefix. Treat any
-				// silent success as a bug.
-				t.Fatalf("v%d: truncated chunk (%d of %d bytes) decoded without error", version, n, len(buf))
-			}
+	// Truncation at every prefix length must error, never panic: the
+	// token stream must span the claimed event count and the columns
+	// must end exactly at the payload's end.
+	for n := 0; n < len(buf); n++ {
+		if err := decode(buf[:n]); err == nil {
+			t.Fatalf("truncated chunk (%d of %d bytes) decoded without error", n, len(buf))
 		}
+	}
 
-		// Trailing garbage is rejected.
-		if _, _, err := decodeChunk(append(append([]byte{}, buf...), 0), nil, version); err == nil {
-			t.Errorf("v%d: chunk with trailing byte decoded without error", version)
-		}
+	// Trailing garbage is rejected.
+	if err := decode(append(append([]byte{}, buf...), 0)); err == nil {
+		t.Error("chunk with trailing byte decoded without error")
+	}
 
-		// A hostile record count cannot cause a huge allocation.
-		hostile := appendChunk(nil, 0, nil, version)
-		hostile = hostile[:1] // keep base, drop count
-		hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0x7f)
-		if _, _, err := decodeChunk(hostile, nil, version); err == nil {
-			t.Errorf("v%d: hostile record count decoded without error", version)
-		}
+	// A hostile record count cannot cause a huge allocation.
+	hostile := []byte{0, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if err := decode(hostile); err == nil {
+		t.Error("hostile record count decoded without error")
 	}
 }

@@ -65,23 +65,32 @@ import (
 // can request. Real programs intern a few thousand runs.
 const maxDictRuns = 1 << 22
 
-// v4 footer geometry. After the terminator byte the v4 trailer is:
+// Footer geometry. After the terminator byte the trailer is:
 //
 //	dict payload:
 //	    uvarint runCount
 //	    runCount × { zigzag pcDelta, uvarint len }
 //	uint32 LE   CRC-32 (IEEE) of the dict payload
-//	index payload + uint32 CRC     (exactly the v2 index)
-//	fixed tail (tailLenV4 bytes):
-//	    uint64 LE indexLen
+//	index payload:
+//	    uvarint chunkCount
+//	    chunkCount × { uvarint offsetDelta, uvarint events }
+//	        offsetDelta: frame-start file offset, delta-coded against
+//	        the previous frame start (first entry is absolute)
+//	uint32 LE   CRC-32 (IEEE) of the index payload
+//	fixed tail (tailLen bytes):
+//	    uint64 LE indexLen     length of the index payload in bytes
 //	    uint64 LE totalEvents
 //	    uint64 LE chunkCount
 //	    uint64 LE dictLen      length of the dict payload in bytes
 //	uint32 LE   CRC-32 (IEEE) of the fixed tail
 //	[8]byte     footer magic "BPTREND4"
+//
+// The fixed-size suffix (tail + tailCRC + magic = tailFixedLen bytes)
+// lets an io.ReaderAt locate the dictionary and index from the end of
+// the file.
 const (
-	tailLenV4      = 32
-	tailFixedLenV4 = tailLenV4 + 4 + 8
+	tailLen      = 32
+	tailFixedLen = tailLen + 4 + 8
 )
 
 // dictRun is one run-dictionary entry: the straight-line run
@@ -97,10 +106,9 @@ func dictKey(pc, n int32) uint64 {
 
 // v4Dict is the reader- and writer-side run dictionary plus the
 // class tables derived from the program at bind time. The raw entries
-// (runs, ids) are maintained while parsing — growing under the
-// sequential reader, loaded whole from the footer by the indexed
-// reader — and are structurally validated without a program. The
-// bound tables need the program and are built once by bind/bindShared
+// (runs, ids) are grown by the writer and loaded whole from the footer
+// by the indexed reader, structurally validated without a program.
+// The bound tables need the program and are built once by bindShared
 // before any taken/address column is decoded.
 type v4Dict struct {
 	runs []dictRun
@@ -109,7 +117,6 @@ type v4Dict struct {
 	// Bound tables. condStart/uncondStart/memStart index the flat
 	// offset arrays per run (len(runs)+1 entries); rsDict mirrors runs
 	// in the shape runstream consumers share.
-	bound       int // runs bound so far
 	ni          int32
 	isCond      []bool // per PC
 	isUncond    []bool
@@ -152,33 +159,29 @@ func (d *v4Dict) add(pc int32, n int64) error {
 	return nil
 }
 
-// bind extends the class tables over entries [d.bound, len(d.runs)).
-// Not safe for concurrent use; the sequential reader calls it as its
-// dictionary grows, the indexed reader exactly once via bindShared.
+// bind builds the class tables over every entry, rejecting runs that
+// fall outside prog. Callers go through bindShared.
 func (d *v4Dict) bind(prog *isa.Program) error {
-	if d.isCond == nil {
-		ni := len(prog.Insts)
-		d.ni = int32(ni)
-		d.isCond = make([]bool, ni)
-		d.isUncond = make([]bool, ni)
-		d.isMem = make([]bool, ni)
-		for pc := range prog.Insts {
-			switch isa.ClassOf(prog.Insts[pc].Op) {
-			case isa.ClassCondBranch:
-				d.isCond[pc] = true
-			case isa.ClassUncondBranch:
-				d.isUncond[pc] = true
-			case isa.ClassLoad, isa.ClassStore:
-				d.isMem[pc] = true
-			}
+	ni := len(prog.Insts)
+	d.ni = int32(ni)
+	d.isCond = make([]bool, ni)
+	d.isUncond = make([]bool, ni)
+	d.isMem = make([]bool, ni)
+	for pc := range prog.Insts {
+		switch isa.ClassOf(prog.Insts[pc].Op) {
+		case isa.ClassCondBranch:
+			d.isCond[pc] = true
+		case isa.ClassUncondBranch:
+			d.isUncond[pc] = true
+		case isa.ClassLoad, isa.ClassStore:
+			d.isMem[pc] = true
 		}
-		d.condStart = append(d.condStart, 0)
-		d.uncondStart = append(d.uncondStart, 0)
-		d.memStart = append(d.memStart, 0)
-		d.rsDict = &runstream.Dict{}
 	}
-	for ; d.bound < len(d.runs); d.bound++ {
-		r := d.runs[d.bound]
+	d.condStart = append(d.condStart, 0)
+	d.uncondStart = append(d.uncondStart, 0)
+	d.memStart = append(d.memStart, 0)
+	d.rsDict = &runstream.Dict{Runs: make([]runstream.Run, 0, len(d.runs))}
+	for _, r := range d.runs {
 		if int64(r.pc)+int64(r.n) > int64(d.ni) {
 			return fmt.Errorf("trace: dictionary run [%d,%d) outside program (%d insts)",
 				r.pc, int64(r.pc)+int64(r.n), d.ni)
@@ -202,9 +205,9 @@ func (d *v4Dict) bind(prog *isa.Program) error {
 	return nil
 }
 
-// bindShared is bind for the indexed reader's immutable,
-// footer-loaded dictionary: many shard workers may race to the first
-// column decode, so the (one-shot) bind runs under a sync.Once.
+// bindShared binds the indexed reader's immutable, footer-loaded
+// dictionary: many shard workers may race to the first column decode,
+// so the one-shot bind runs under a sync.Once.
 func (d *v4Dict) bindShared(prog *isa.Program) error {
 	d.bindOnce.Do(func() { d.bindErr = d.bind(prog) })
 	return d.bindErr
@@ -318,13 +321,12 @@ type v4Hdr struct {
 }
 
 // parseChunkV4 parses and validates a chunk's token stream against
-// dict. In grow mode (sequential reader, chunks seen in commit order)
-// the chunk's dictBase must equal the dictionary size and the new
-// entries are appended; in verify mode (indexed reader, dictionary
-// loaded whole from the footer) the new entries must match the
-// footer's at the same ids. data may be a stream-1 prefix: parsing
-// stops at the cut.
-func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, error) {
+// the footer-loaded dictionary: the entries the chunk defines must
+// match the footer's at the same ids, every token must reference a
+// defined run, the tokens must span exactly the chunk's events, and
+// the final target must fit an int32. data may be a stream-1 prefix:
+// parsing stops at the cut.
+func parseChunkV4(data []byte, dict *v4Dict, sc *v4Scratch) (v4Hdr, error) {
 	var h v4Hdr
 	pos := 0
 	base, pos, err := uvarintAt(data, pos)
@@ -350,11 +352,7 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 		return h, fmt.Errorf("trace: chunk dictionary section out of range (base %d, new %d)", dictBase64, newRuns64)
 	}
 	dictBase, newRuns := int(dictBase64), int(newRuns64)
-	if grow {
-		if dictBase != len(dict.runs) {
-			return h, fmt.Errorf("trace: chunk dictBase %d, dictionary has %d runs", dictBase, len(dict.runs))
-		}
-	} else if dictBase+newRuns > len(dict.runs) {
+	if dictBase+newRuns > len(dict.runs) {
 		return h, fmt.Errorf("trace: chunk defines runs %d..%d, footer dictionary has %d",
 			dictBase, dictBase+newRuns, len(dict.runs))
 	}
@@ -378,18 +376,10 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 		}
 		sc.newRuns = append(sc.newRuns, dictRun{pc: int32(pc), n: int32(u)})
 	}
-	if grow {
-		for _, r := range sc.newRuns {
-			if err := dict.add(r.pc, int64(r.n)); err != nil {
-				return h, err
-			}
-		}
-	} else {
-		for i, r := range sc.newRuns {
-			if dict.runs[dictBase+i] != r {
-				return h, fmt.Errorf("trace: chunk dictionary entry %d ([%d,%d)) disagrees with footer",
-					dictBase+i, r.pc, int64(r.pc)+int64(r.n))
-			}
+	for i, r := range sc.newRuns {
+		if dict.runs[dictBase+i] != r {
+			return h, fmt.Errorf("trace: chunk dictionary entry %d ([%d,%d)) disagrees with footer",
+				dictBase+i, r.pc, int64(r.pc)+int64(r.n))
 		}
 	}
 	nTok64, pos, err := uvarintAt(data, pos)
@@ -435,6 +425,10 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 	if u, pos, err = uvarintAt(data, pos); err != nil {
 		return h, err
 	}
+	last := dict.runs[sc.tokens[len(sc.tokens)-1].ID]
+	if ft := int64(last.pc) + int64(last.n) + unzigzag(u); ft < -(1<<31) || ft >= 1<<31 {
+		return h, fmt.Errorf("trace: target %d out of int32 range", ft)
+	}
 	h = v4Hdr{
 		base:       base,
 		n:          int(n64),
@@ -463,13 +457,13 @@ func v4ColumnCounts(dict *v4Dict, tokens []runstream.Token) (nbr, nmem int) {
 // chunk's last event), conditional branches read the taken bitmap,
 // unconditional branches are always taken, and the address column
 // fills memory instances (zero addresses included). dict must be
-// bound to prog.
-func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, grow bool, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
-	h, err := parseChunkV4(data, dict, grow, sc)
+// bound to prog (it is bound here on first use).
+func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := bindFor(dict, prog, grow); err != nil {
+	if err := dict.bindShared(prog); err != nil {
 		return 0, nil, err
 	}
 	n := h.n
@@ -499,11 +493,7 @@ func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, grow bool
 		}
 	}
 	last := &evs[n-1]
-	ft := int64(last.PC) + 1 + h.finalDelta
-	if ft < -(1<<31) || ft >= 1<<31 {
-		return 0, nil, fmt.Errorf("trace: target %d out of int32 range", ft)
-	}
-	last.Target = int32(ft)
+	last.Target = int32(int64(last.PC) + 1 + h.finalDelta) // range-checked by parseChunkV4
 
 	// Taken column: one bit per conditional-branch instance;
 	// unconditional branches are implied taken.
@@ -578,30 +568,18 @@ func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, grow bool
 	return h.base, evs, nil
 }
 
-// bindFor extends (grow mode) or one-shot binds (verify mode) the
-// dictionary's class tables.
-func bindFor(dict *v4Dict, prog *isa.Program, grow bool) error {
-	if grow {
-		return dict.bind(prog)
-	}
-	return dict.bindShared(prog)
-}
-
 // decodeChunkColumnsV4 decodes one v4 chunk payload into the
 // dictionary-backed column form: tokens stay tokens (the run engine
 // multiplies per token, not per event), the taken bitmap is copied
 // verbatim, and only the address column is expanded — one value per
 // memory instance. dict must be bound.
 func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4Scratch) error {
-	h, err := parseChunkV4(data, dict, false, sc)
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return err
 	}
 	ch.Base = h.base
 	ch.N = h.n
-	ch.Runs = ch.Runs[:0]
-	ch.Taken = ch.Taken[:0]
-	ch.Present = ch.Present[:0]
 	ch.Dict = dict.rsDict
 	ch.Tokens = append(ch.Tokens[:0], h.tokens...)
 	ch.Addrs = ch.Addrs[:0]
@@ -657,11 +635,11 @@ func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4
 
 // scanChunkTokensV4 parses only the token stream of a v4 chunk
 // (structural and dictionary validation included) and reports it
-// through fn. data may be a stream-1 prefix (framePCColumn's
+// through fn. data may be a stream-1 prefix (frameTokens's
 // contract); trailing-byte validation of the full payload is the
 // column/event decoders' job.
 func scanChunkTokensV4(data []byte, dict *v4Dict, sc *v4Scratch, fn func(pc, n int32, rep int64)) (uint64, int, error) {
-	h, err := parseChunkV4(data, dict, false, sc)
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return 0, 0, err
 	}

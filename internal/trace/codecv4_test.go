@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
+	"sync"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -69,23 +71,40 @@ func validV4Parts() v4parts {
 }
 
 // TestV4ChunkCorruptionSweep feeds structurally corrupted dictionary
-// chunks to both v4 decoders: every lie — out-of-range run ids,
-// wrong dictBase, duplicate or overlapping dictionary entries, run
-// lengths that disagree with the chunk's event count, runs outside
-// the program, truncated or over-long columns — must be rejected with
-// an error, never a panic or a silent mis-decode.
+// chunks to both decoders: every lie — out-of-range run ids, a
+// dictBase past the footer dictionary, duplicate or overlapping
+// dictionary entries, run lengths that disagree with the chunk's event
+// count, runs outside the program, truncated or over-long columns —
+// must be rejected with an error, never a panic or a silent mis-decode.
+// Each corrupted chunk is decoded against the pristine footer
+// dictionary and against a footer built from the chunk's own entries
+// (the dictionary a writer of exactly those entries would have left).
 func TestV4ChunkCorruptionSweep(t *testing.T) {
 	prog := testProgramMixed(64)
 
-	decodeGrow := func(payload []byte) error {
+	// decode runs both decoders against a fresh footer dictionary of
+	// the given runs; it reports whether either accepted the payload.
+	decode := func(runs []dictRun, payload []byte) (accepted bool) {
+		dict, err := parseDictPayload(appendDictPayload(nil, runs))
+		if err != nil {
+			return false // the footer itself is invalid
+		}
+		if err := dict.bindShared(prog); err != nil {
+			return false
+		}
 		var sc v4Scratch
-		_, _, err := decodeChunkEventsV4(payload, prog, newV4Dict(), true, nil, &sc)
-		return err
+		if _, _, err := decodeChunkEventsV4(payload, prog, dict, nil, &sc); err == nil {
+			accepted = true
+		}
+		if err := decodeChunkColumnsV4(payload, dict, new(runstream.Chunk), &sc); err == nil {
+			accepted = true
+		}
+		return accepted
 	}
-	// Sanity: the pristine chunk decodes.
+	pristine := []dictRun{{pc: 0, n: 8}}
 	base := validV4Parts()
-	if err := decodeGrow(base.encode()); err != nil {
-		t.Fatalf("pristine reference chunk rejected: %v", err)
+	if !decode(pristine, base.encode()) {
+		t.Fatalf("pristine reference chunk rejected")
 	}
 
 	cases := []struct {
@@ -97,7 +116,7 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 		{"zero repeat count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 0}} }},
 		{"token stream overruns event count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 3}} }},
 		{"token stream undershoots event count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 1}} }},
-		{"dictBase ahead of grown dictionary", func(p *v4parts) { p.dictBase = 1 }},
+		{"dictBase past the footer dictionary", func(p *v4parts) { p.dictBase = 1 }},
 		{"duplicate dictionary entry", func(p *v4parts) {
 			p.newRuns = [][2]int64{{0, 8}, {0, 8}}
 		}},
@@ -107,6 +126,13 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 			// program: the bind step must reject it.
 			p.newRuns = [][2]int64{{60, 8}}
 		}},
+		{"chunk entry disagrees with the footer", func(p *v4parts) {
+			p.newRuns = [][2]int64{{0, 7}}
+			p.n = 14
+			p.final = -7
+			p.addrs = p.addrs[:2]
+		}},
+		{"final target out of int32 range", func(p *v4parts) { p.final = 1 << 40 }},
 		{"truncated taken bitmap", func(p *v4parts) { p.bitmap, p.addrs = nil, nil }},
 		{"nonzero bitmap padding", func(p *v4parts) { p.bitmap = []byte{0xF0} }},
 		{"truncated address column", func(p *v4parts) { p.addrs = p.addrs[:2] }},
@@ -125,60 +151,75 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 		p := validV4Parts()
 		tc.mut(&p)
 		payload := p.encode()
-		if err := decodeGrow(payload); err == nil {
-			t.Errorf("%s: grow-mode event decode accepted the corruption", tc.name)
+		if decode(pristine, payload) {
+			t.Errorf("%s: accepted against the pristine footer dictionary", tc.name)
+		}
+		own := make([]dictRun, 0, int(p.dictBase)+len(p.newRuns))
+		for i := uint64(0); i < p.dictBase; i++ {
+			own = append(own, dictRun{pc: 63 - int32(i), n: 1}) // filler ids below dictBase
+		}
+		for _, r := range p.newRuns {
+			own = append(own, dictRun{pc: int32(r[0]), n: int32(r[1])})
+		}
+		if decode(own, payload) {
+			t.Errorf("%s: accepted against a footer of the chunk's own entries", tc.name)
 		}
 	}
 
-	// Verify mode: the same chunk against a footer dictionary that
-	// disagrees, or that is too small for the chunk's claimed entries.
-	footer, err := parseDictPayload(appendDictPayload(nil, []dictRun{{pc: 0, n: 8}}))
-	if err != nil {
-		t.Fatal(err)
+	// The footer dictionary gets the same entry validation.
+	if _, err := parseDictPayload(appendDictPayload(nil, []dictRun{{0, 8}, {0, 8}})); err == nil {
+		t.Error("footer dictionary with a duplicate entry accepted")
 	}
-	if err := footer.bindShared(prog); err != nil {
-		t.Fatal(err)
-	}
-	var sc v4Scratch
-	ch := new(runstream.Chunk)
-	if err := decodeChunkColumnsV4(base.encode(), footer, ch, &sc); err != nil {
-		t.Fatalf("pristine chunk rejected in verify mode: %v", err)
-	}
-	lie := validV4Parts()
-	lie.newRuns = [][2]int64{{0, 7}} // disagrees with the footer's [0,8)
-	lie.tokens = [][2]uint64{{0, 2}}
-	lie.n = 14
-	lie.final = -7
-	lie.addrs = lie.addrs[:2] // wrong either way; entry check fires first
-	if err := decodeChunkColumnsV4(lie.encode(), footer, ch, &sc); err == nil {
-		t.Error("verify mode accepted a chunk entry disagreeing with the footer dictionary")
-	}
-	over := validV4Parts()
-	over.dictBase = 1 // chunk claims runs the footer doesn't have
-	if err := decodeChunkColumnsV4(over.encode(), footer, ch, &sc); err == nil {
-		t.Error("verify mode accepted a dictBase past the footer dictionary")
+	if _, err := parseDictPayload(appendDictPayload(nil, []dictRun{{0, 0}})); err == nil {
+		t.Error("footer dictionary with a zero-length run accepted")
 	}
 }
 
-// TestV4RoundTripByteIdentity decodes a v4 trace at several worker
-// counts and re-encodes the decoded stream: the decoded events must
-// match the originals exactly and the re-encoded file must be
-// byte-identical, at every worker count.
+// TestV4RoundTripByteIdentity decodes a trace split across several
+// concurrent range workers and re-encodes the decoded stream: the
+// decoded events must match the originals exactly and the re-encoded
+// file must be byte-identical, at every worker count.
 func TestV4RoundTripByteIdentity(t *testing.T) {
 	const n, chunk = 20000, 512
-	data, evs, prog := writeTestTraceVersion(t, n, chunk, 4)
+	data, evs, prog := writeTestTrace(t, n, chunk)
+	ir := openTest(t, data)
 	for _, workers := range []int{1, 4, 8} {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		parts := make([][]sim.Event, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			lo, hi := ir.Chunks()*w/workers, ir.Chunks()*(w+1)/workers
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				src := ir.Range(prog, lo, hi)
+				defer src.Close()
+				for {
+					got, release, err := src.Next()
+					if err == io.EOF {
+						return
+					}
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					parts[w] = append(parts[w], got...)
+					release()
+				}
+			}(w)
 		}
-		src := tr.ParallelEvents(prog, workers)
-		got := drain(t, src)
-		src.Close()
+		wg.Wait()
+		var got []sim.Event
+		for w := range parts {
+			if errs[w] != nil {
+				t.Fatalf("workers=%d: range %d: %v", workers, w, errs[w])
+			}
+			got = append(got, parts[w]...)
+		}
 		checkEvents(t, got, evs)
 
 		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog, 4)
+		tw := NewWriter(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog)
 		tw.ObserveBatch(got)
 		if err := tw.Close(); err != nil {
 			t.Fatalf("workers=%d: re-encode: %v", workers, err)
@@ -190,52 +231,10 @@ func TestV4RoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCrossVersionEventsIdentical is the cross-version golden matrix
-// at the event level: one stream written at every format version must
-// decode — through both the sequential and the indexed reader — to
-// exactly the same events.
-func TestCrossVersionEventsIdentical(t *testing.T) {
-	prog := testProgramMixed(1 << 12)
-	evs := testEventStream(12000, prog)
-	for version := 1; version <= FormatVersion; version++ {
-		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 256}, prog, version)
-		tw.ObserveBatch(evs)
-		if err := tw.Close(); err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		data := buf.Bytes()
-
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if tr.Version() != version {
-			t.Fatalf("v%d: reader reports version %d", version, tr.Version())
-		}
-		src := tr.Events(prog)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
-
-		if version >= 2 {
-			ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				t.Fatalf("v%d: indexed: %v", version, err)
-			}
-			rsrc := ir.Range(prog, 0, ir.Chunks())
-			got := drain(t, rsrc)
-			rsrc.Close()
-			checkEvents(t, got, evs)
-		}
-	}
-}
-
 // TestScanRunTokensCompresses pins the point of the token scan: on a
-// loop-dominated v4 trace the repeats come off the token stream, so
-// the scan reports far fewer callbacks than run instances while still
-// spanning every event; and on v2/v3 traces every callback reports
-// rep == 1, matching ScanPCRuns exactly.
+// loop-dominated trace the repeats come off the token stream, so the
+// scan reports far fewer callbacks than run instances while still
+// spanning every event.
 func TestScanRunTokensCompresses(t *testing.T) {
 	prog := testProgramMixed(256)
 	// A tight 16-instruction loop: one run, thousands of repeats.
@@ -254,7 +253,7 @@ func TestScanRunTokensCompresses(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 4096}, prog, 4)
+	tw := NewWriter(&buf, Meta{Program: prog.Name, ChunkEvents: 4096}, prog)
 	tw.ObserveBatch(evs)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)

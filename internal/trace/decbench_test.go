@@ -7,32 +7,26 @@ import (
 )
 
 func BenchmarkDecodeChunkEvents(b *testing.B) {
-	prog := testProgram(1 << 12)
-	recs := make([]Record, ChunkEvents)
-	pc := int32(100)
-	for i := range recs {
-		recs[i] = Record{PC: pc, Target: pc + 1}
-		if i%4 == 0 {
-			recs[i].Addr = uint64(0x1000 + i*8)
-		}
-		if i%7 == 0 {
-			recs[i].Taken = true
-			recs[i].Target = pc - 50
-		}
-		pc++
-		if pc > 300 {
-			pc = 100
-		}
+	prog := testProgramMixed(1 << 12)
+	evs := testEventStream(ChunkEvents, prog)
+	vw := newV4Writer(prog)
+	data, _, err := vw.appendChunk(nil, 0, recordsOf(evs))
+	if err != nil {
+		b.Fatal(err)
 	}
-	data := appendChunk(nil, 0, recs, FormatVersion)
-	evs := make([]sim.Event, 0, ChunkEvents)
-	b.SetBytes(int64(len(recs)))
+	dict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]sim.Event, 0, ChunkEvents)
+	var sc v4Scratch
+	b.SetBytes(int64(len(evs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, out, err := decodeChunkEvents(data, prog, evs, FormatVersion)
+		_, got, err := decodeChunkEventsV4(data, prog, dict, out, &sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		evs = out[:0]
+		out = got[:0]
 	}
 }

@@ -2,242 +2,289 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"testing"
 
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
-// FuzzCodec drives both directions of the codec from one input:
+// FuzzCodec drives the run-native codec from one input:
 //
-//  1. The raw bytes are decoded as a chunk and as a full trace stream.
-//     Arbitrary input must produce an error or a clean decode — never a
-//     panic, and never an oversized allocation.
-//  2. The bytes are also deterministically reinterpreted as an event
-//     slab, encoded, and decoded again; the round trip must be
-//     lossless.
+//  1. The raw bytes are decoded as a chunk payload by parseChunkV4,
+//     decodeChunkEventsV4 and decodeChunkColumnsV4, against two footer
+//     dictionaries: the seed writer's, and one built from the chunk's
+//     own entries. The two full decoders must accept exactly the same
+//     payloads and agree on every event, neither may accept what
+//     parseChunkV4 rejects, and a clean decode must re-encode and
+//     decode back to the same events.
+//  2. The raw bytes are opened as a whole trace file and read through
+//     Range, Columns and ScanRunTokens. Arbitrary input must produce an
+//     error or a clean decode — never a panic, never an oversized
+//     allocation — and whatever decodes cleanly must agree.
+//  3. The bytes are reinterpreted as event streams and recorded: a
+//     run-representable stream must round-trip losslessly through every
+//     reader; an arbitrary one must either be refused by the writer or
+//     round-trip too.
 func FuzzCodec(f *testing.F) {
+	prog := testProgramMixed(1 << 12)
+	seedEvs := simEventsFromBytes(prog, seedStreamBytes())
+
+	// Chunk seeds: a first chunk that defines its runs, and a follow-on
+	// chunk that references them by id. The writer's final dictionary
+	// is the footer the chunk-level direction decodes against.
+	vw := newV4Writer(prog)
+	first, _, err := vw.appendChunk(nil, 0, recordsOf(seedEvs))
+	if err != nil {
+		f.Fatal(err)
+	}
+	second, _, err := vw.appendChunk(nil, uint64(len(seedEvs)), recordsOf(seedEvs[:len(seedEvs)/2]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedDict := vw.dict.runs
+
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
-	f.Add(appendChunk(nil, 0, []Record{{PC: 1, Target: 2, Addr: 64, Taken: true}}, 1))
-	f.Add(appendChunk(nil, 9, []Record{{PC: 3, Target: 4}, {PC: 4, Target: 5, Addr: 8}}, 2))
-	f.Add(appendChunk(nil, 9, []Record{{PC: 3, Target: 4}, {PC: 4, Target: 5, Addr: 8}}, 3))
-	var full bytes.Buffer
-	tw := NewWriter(&full, Meta{Program: "fuzz", ChunkEvents: 2}, nil)
-	tw.ObserveBatch(eventsFromBytes([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}))
-	if err := tw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(full.Bytes())
-	// v4 seeds: a full run-native trace (footer dictionary included)
-	// and one bare v4 chunk payload, so the fuzzer starts with valid
-	// dictionary structure to mutate.
-	progMix := testProgramMixed(1 << 12)
-	seedEvs := simEventsFromBytes(progMix, seedStreamBytes())
-	var fullV4 bytes.Buffer
-	twV4 := NewWriterVersion(&fullV4, Meta{Program: "fuzz", ChunkEvents: 8}, progMix, 4)
-	twV4.ObserveBatch(seedEvs)
-	if err := twV4.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fullV4.Bytes())
-	{
-		vw := newV4Writer(progMix)
-		chunk, _, err := vw.appendChunk(nil, 0, recordsOf(seedEvs))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(chunk)
-	}
+	f.Add(first)
+	f.Add(second)
+	f.Add(recordTrace(f, prog, seedEvs, Meta{Program: "fuzz", ChunkEvents: 8}))
+	f.Add(recordTrace(f, prog, seedEvs, Meta{Program: "fuzz", ChunkEvents: 8, Compression: "none"}))
+	f.Add(recordTrace(f, prog, loopEvents(prog, 16, 64), Meta{Program: "fuzz", ChunkEvents: 256}))
+	f.Add(recordTrace(f, prog, nil, Meta{Program: "fuzz"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1a: arbitrary bytes as a chunk payload under both
-		// sparse encodings, decoded by both the reference decoder and the
-		// fused event decoder; the fused path must accept exactly the
-		// chunks the reference does (minus PCs outside the binding
-		// program) and agree on every field.
-		prog := testProgram(1 << 12)
-		for version := 1; version <= 3; version++ {
-			base, recs, err := decodeChunk(data, nil, version)
-			baseE, evsE, errE := decodeChunkEvents(data, prog, nil, version)
-			if err == nil {
-				// A clean decode must re-encode to an equivalent chunk.
-				re := appendChunk(nil, base, recs, version)
-				base2, recs2, err := decodeChunk(re, nil, version)
-				if err != nil {
-					t.Fatalf("v%d: re-decode of re-encoded chunk failed: %v", version, err)
-				}
-				if base2 != base || len(recs2) != len(recs) {
-					t.Fatalf("v%d: re-encode changed shape: base %d->%d, n %d->%d", version, base, base2, len(recs), len(recs2))
-				}
-				for i := range recs {
-					if recs[i] != recs2[i] {
-						t.Fatalf("v%d: re-encode changed record %d: %+v -> %+v", version, i, recs[i], recs2[i])
-					}
-				}
-				if errE != nil {
-					// The fused decoder may only add the PC-in-program check.
-					inRange := true
-					for _, r := range recs {
-						if r.PC < 0 || int(r.PC) >= len(prog.Insts) {
-							inRange = false
-							break
-						}
-					}
-					if inRange {
-						t.Fatalf("v%d: fused decoder rejected a reference-valid chunk: %v", version, errE)
-					}
-				} else {
-					if baseE != base || len(evsE) != len(recs) {
-						t.Fatalf("v%d: fused decode shape: base %d->%d, n %d->%d", version, base, baseE, len(recs), len(evsE))
-					}
-					for i := range recs {
-						ev := evsE[i]
-						if ev.PC != recs[i].PC || ev.Target != recs[i].Target ||
-							ev.Addr != recs[i].Addr || ev.Taken != recs[i].Taken {
-							t.Fatalf("v%d: fused decode record %d: got %+v want %+v", version, i, ev, recs[i])
-						}
-						if ev.Seq != base+uint64(i) || ev.Inst != &prog.Insts[ev.PC] {
-							t.Fatalf("v%d: fused decode record %d: bad binding %+v", version, i, ev)
-						}
-					}
-				}
-			} else if errE == nil {
-				t.Fatalf("v%d: fused decoder accepted a chunk the reference rejects: %v", version, err)
-			}
+		// Direction 1: arbitrary bytes as a chunk payload.
+		checkChunkDecoders(t, prog, data, seedDict)
+		if own := chunkOwnRuns(data); own != nil {
+			checkChunkDecoders(t, prog, data, own)
 		}
 
-		// Direction 1c: arbitrary bytes as a v4 chunk payload, decoded
-		// against a fresh growing dictionary, must error or decode
-		// cleanly — never panic. A clean decode must re-encode (with a
-		// fresh dictionary) and decode back to the same events.
-		{
-			dict := newV4Dict()
-			var sc v4Scratch
-			base4, evs4, err := decodeChunkEventsV4(data, progMix, dict, true, nil, &sc)
-			if err == nil {
-				vw := newV4Writer(progMix)
-				re, _, err := vw.appendChunk(nil, base4, recordsOf(evs4))
-				if err != nil {
-					t.Fatalf("v4: re-encode of decoded chunk failed: %v", err)
-				}
-				dict2 := newV4Dict()
-				var sc2 v4Scratch
-				base2, evs2, err := decodeChunkEventsV4(re, progMix, dict2, true, nil, &sc2)
-				if err != nil {
-					t.Fatalf("v4: re-decode of re-encoded chunk failed: %v", err)
-				}
-				if base2 != base4 || len(evs2) != len(evs4) {
-					t.Fatalf("v4: re-encode changed shape: base %d->%d, n %d->%d", base4, base2, len(evs4), len(evs2))
-				}
-				for i := range evs4 {
-					if evs4[i] != evs2[i] {
-						t.Fatalf("v4: re-encode changed event %d: %+v -> %+v", i, evs4[i], evs2[i])
-					}
-				}
-			}
-		}
+		// Direction 2: arbitrary bytes as a whole trace file.
+		checkTraceReaders(t, prog, data, nil)
 
-		// Direction 1b: arbitrary bytes as a full trace stream. A v4
-		// stream threads the reader's growing dictionary through the
-		// fused decoder; older versions use the reference decoder.
-		if tr, err := NewReader(bytes.NewReader(data)); err == nil {
-			dec := &decoder{version: tr.version, dict: tr.dict, grow: true}
-			for {
-				fr, err := tr.nextFrame(false)
-				if err != nil {
-					break
-				}
-				if tr.version >= 4 {
-					if _, _, err := dec.decodeFrameEvents(fr, progMix, nil); err != nil {
-						break
-					}
-				} else if _, _, err := decodeFrame(fr, nil, tr.version); err != nil {
-					break
-				}
-			}
-		}
+		// Direction 3a: bytes -> run-representable stream -> record ->
+		// every reader; the round trip must be lossless.
+		evs := simEventsFromBytes(prog, data)
+		checkTraceReaders(t, prog, recordTrace(t, prog, evs, Meta{Program: "fuzz", ChunkEvents: 16}), evs)
 
-		// Direction 2: bytes -> synthetic slab -> encode -> decode.
-		evs := eventsFromBytes(data)
+		// Direction 3b: bytes -> arbitrary stream. The writer refuses
+		// what it cannot represent; what it accepts must round-trip.
+		evs = eventsFromBytes(data)
 		var buf bytes.Buffer
-		w := NewWriter(&buf, Meta{Program: "fuzz", ChunkEvents: 16}, nil)
+		w := NewWriter(&buf, Meta{Program: "fuzz", ChunkEvents: 16}, prog)
 		w.ObserveBatch(evs)
-		if err := w.Close(); err != nil {
-			t.Fatalf("write synthetic trace: %v", err)
-		}
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("read synthetic trace: %v", err)
-		}
-		i := 0
-		for {
-			fr, err := tr.nextFrame(false)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("synthetic trace frame: %v", err)
-			}
-			_, recs, err := decodeFrame(fr, nil, tr.version)
-			if err != nil {
-				t.Fatalf("synthetic trace chunk: %v", err)
-			}
-			for _, rec := range recs {
-				want := evs[i]
-				if rec.PC != want.PC || rec.Target != want.Target || rec.Addr != want.Addr || rec.Taken != want.Taken {
-					t.Fatalf("event %d: got %+v want %+v", i, rec, want)
-				}
-				i++
-			}
-		}
-		if i != len(evs) {
-			t.Fatalf("decoded %d events, wrote %d", i, len(evs))
-		}
-
-		// Direction 2b: bytes -> run-representable slab -> v4 encode ->
-		// decode; the round trip must be lossless.
-		evsR := simEventsFromBytes(progMix, data)
-		var bufV4 bytes.Buffer
-		w4 := NewWriterVersion(&bufV4, Meta{Program: "fuzz", ChunkEvents: 16}, progMix, 4)
-		w4.ObserveBatch(evsR)
-		if err := w4.Close(); err != nil {
-			t.Fatalf("write v4 trace: %v", err)
-		}
-		tr4, err := NewReader(bytes.NewReader(bufV4.Bytes()))
-		if err != nil {
-			t.Fatalf("read v4 trace: %v", err)
-		}
-		src := tr4.Events(progMix)
-		j := 0
-		for {
-			got, release, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("v4 trace chunk: %v", err)
-			}
-			for _, ev := range got {
-				if ev != evsR[j] {
-					t.Fatalf("v4 event %d: got %+v want %+v", j, ev, evsR[j])
-				}
-				j++
-			}
-			release()
-		}
-		src.Close()
-		if j != len(evsR) {
-			t.Fatalf("v4 decoded %d events, wrote %d", j, len(evsR))
+		if w.Close() == nil {
+			checkTraceReaders(t, prog, buf.Bytes(), evs)
 		}
 	})
 }
 
+// checkChunkDecoders decodes data as one chunk payload against a
+// footer dictionary of runs (when that dictionary is itself valid and
+// fits prog) and checks the decoders agree.
+func checkChunkDecoders(t *testing.T, prog *isa.Program, data []byte, runs []dictRun) {
+	dict, err := parseDictPayload(appendDictPayload(nil, runs))
+	if err != nil || dict.bindShared(prog) != nil {
+		return
+	}
+	var sc v4Scratch
+	_, errP := parseChunkV4(data, dict, &sc)
+	base, evs, errE := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+	var ch runstream.Chunk
+	errC := decodeChunkColumnsV4(data, dict, &ch, &sc)
+	if (errE == nil) != (errC == nil) {
+		t.Fatalf("event decoder err=%v, column decoder err=%v", errE, errC)
+	}
+	if errE != nil {
+		return
+	}
+	if errP != nil {
+		t.Fatalf("decoders accepted a chunk parseChunkV4 rejects: %v", errP)
+	}
+	if ch.Base != base || ch.N != len(evs) {
+		t.Fatalf("column decode shape: base %d n %d, events base %d n %d", ch.Base, ch.N, base, len(evs))
+	}
+	for i := range evs {
+		if evs[i].Seq != base+uint64(i) || evs[i].Inst != &prog.Insts[evs[i].PC] {
+			t.Fatalf("event %d: bad binding %+v", i, evs[i])
+		}
+	}
+	checkChunkV4(t, &ch, evs, 0, prog)
+
+	// A clean decode must re-encode (with a fresh dictionary) and
+	// decode back to the same events.
+	vw := newV4Writer(prog)
+	re, _, err := vw.appendChunk(nil, base, recordsOf(evs))
+	if err != nil {
+		t.Fatalf("re-encode of decoded chunk failed: %v", err)
+	}
+	redict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+	if err != nil {
+		t.Fatalf("re-encoded dictionary: %v", err)
+	}
+	_, evs2, err := decodeChunkEventsV4(re, prog, redict, nil, &sc)
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
+	}
+	checkEvents(t, evs2, evs)
+}
+
+// chunkOwnRuns returns the dictionary a writer of exactly data's chunk
+// would have left behind: filler entries for the ids below the chunk's
+// dictBase, then the entries it defines. It returns nil when the
+// header does not parse or claims an implausibly large dictionary.
+func chunkOwnRuns(data []byte) []dictRun {
+	var vals [4]uint64
+	pos := 0
+	for i := range vals {
+		u, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil
+		}
+		vals[i], pos = u, pos+n
+	}
+	dictBase, newRuns := vals[2], vals[3]
+	if dictBase > 256 || newRuns > 256 {
+		return nil
+	}
+	runs := make([]dictRun, 0, dictBase+newRuns)
+	for i := uint64(0); i < dictBase; i++ {
+		runs = append(runs, dictRun{pc: int32(4095 - i), n: 1})
+	}
+	prev := int64(0)
+	for i := uint64(0); i < newRuns; i++ {
+		u, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil
+		}
+		pos += n
+		pc := prev + unzigzag(u)
+		l, n := binary.Uvarint(data[pos:])
+		if n <= 0 || pc < 0 || pc >= 1<<31 || l > maxChunkEvents {
+			return nil
+		}
+		pos += n
+		runs = append(runs, dictRun{pc: int32(pc), n: int32(l)})
+		prev = pc
+	}
+	return runs
+}
+
+// checkTraceReaders opens data as a trace file and reads it through
+// Range, Columns and ScanRunTokens. With want == nil the input is
+// arbitrary: any reader may reject it, and the readers that decode it
+// cleanly must agree. With want set, every reader must reproduce it.
+func checkTraceReaders(t *testing.T, prog *isa.Program, data []byte, want []sim.Event) {
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		if want != nil {
+			t.Fatalf("open recorded trace: %v", err)
+		}
+		return
+	}
+	var evs []sim.Event
+	src := ir.Range(prog, 0, ir.Chunks())
+	for err == nil {
+		var got []sim.Event
+		var release func()
+		if got, release, err = src.Next(); err == nil {
+			evs = append(evs, got...)
+			release()
+		}
+	}
+	src.Close()
+	if err != io.EOF {
+		if want != nil {
+			t.Fatalf("range decode of recorded trace: %v", err)
+		}
+		return
+	}
+	if want != nil {
+		if len(evs) != len(want) {
+			t.Fatalf("decoded %d events, recorded %d", len(evs), len(want))
+		}
+		for i := range want {
+			if evs[i].PC != want[i].PC || evs[i].Target != want[i].Target ||
+				evs[i].Addr != want[i].Addr || evs[i].Taken != want[i].Taken {
+				t.Fatalf("event %d: got %+v want %+v", i, evs[i], want[i])
+			}
+		}
+	}
+
+	cols := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
+	i := 0
+	for {
+		ch, release, err := cols.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			if want != nil {
+				t.Fatalf("column decode of recorded trace: %v", err)
+			}
+			break
+		}
+		i = checkChunkV4(t, ch, evs, i, prog)
+		release()
+	}
+	cols.Close()
+
+	pcs, err := scanPCs(context.Background(), ir, prog, 0, ir.Chunks())
+	if err != nil {
+		if want != nil {
+			t.Fatalf("token scan of recorded trace: %v", err)
+		}
+		return
+	}
+	if len(pcs) != len(evs) {
+		t.Fatalf("token scan covers %d events, range decode %d", len(pcs), len(evs))
+	}
+	for i := range pcs {
+		if pcs[i] != evs[i].PC {
+			t.Fatalf("token scan event %d: pc %d, range decode %d", i, pcs[i], evs[i].PC)
+		}
+	}
+}
+
+// recordTrace records evs with a fresh writer and returns the file.
+func recordTrace(tb testing.TB, prog *isa.Program, evs []sim.Event, meta Meta) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	tw := NewWriter(&buf, meta, prog)
+	tw.ObserveBatch(evs)
+	if err := tw.Close(); err != nil {
+		tb.Fatalf("record trace: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// loopEvents is reps iterations of a tight body-instruction loop over
+// prog's first PCs: one dictionary run repeated, the shape that
+// exercises token repeats and split compression.
+func loopEvents(prog *isa.Program, body, reps int) []sim.Event {
+	evs := make([]sim.Event, body*reps)
+	for i := range evs {
+		pc := int32(i % body)
+		ev := sim.Event{Seq: uint64(i), PC: pc, Inst: &prog.Insts[pc], Target: (pc + 1) % int32(body)}
+		switch isa.ClassOf(prog.Insts[pc].Op) {
+		case isa.ClassLoad, isa.ClassStore:
+			ev.Addr = uint64(0x1000 + 8*i)
+		case isa.ClassCondBranch:
+			ev.Taken = i%3 == 0
+		case isa.ClassUncondBranch:
+			ev.Taken = true
+		}
+		evs[i] = ev
+	}
+	return evs
+}
+
 // seedStreamBytes is a fixed byte string long enough for
-// simEventsFromBytes to cross several chunk boundaries in the v4 fuzz
-// seeds.
+// simEventsFromBytes to cross several chunk boundaries in the seeds.
 func seedStreamBytes() []byte {
 	b := make([]byte, 120)
 	for i := range b {
@@ -258,8 +305,7 @@ func recordsOf(evs []sim.Event) []Record {
 // simEventsFromBytes deterministically shreds bytes into a
 // run-representable event stream bound to prog: every non-final target
 // names the next committed PC, and the taken and address fields
-// respect each PC's class, so the slab is encodable at every format
-// version including v4.
+// respect each PC's class.
 func simEventsFromBytes(prog *isa.Program, data []byte) []sim.Event {
 	var evs []sim.Event
 	ni := int32(len(prog.Insts))
@@ -287,8 +333,9 @@ func simEventsFromBytes(prog *isa.Program, data []byte) []sim.Event {
 	return evs
 }
 
-// eventsFromBytes deterministically shreds bytes into an event slab so
-// the fuzzer explores the encoder's value space.
+// eventsFromBytes deterministically shreds bytes into an arbitrary
+// event slab — PCs, targets and flags need not be consistent with any
+// program — so the fuzzer explores what the writer must refuse.
 func eventsFromBytes(data []byte) []sim.Event {
 	var evs []sim.Event
 	for len(data) >= 12 {

@@ -2,25 +2,22 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
-// TestIndexedReaderRoundTrip opens a multi-chunk v2 trace through the
+// TestIndexedReaderRoundTrip opens a multi-chunk trace through the
 // footer index and checks that every chunk range decodes to exactly the
 // events the index promises, including single-chunk and full-file
 // ranges.
 func TestIndexedReaderRoundTrip(t *testing.T) {
 	const n, chunk = 10000, 256
 	data, evs, prog := writeTestTrace(t, n, chunk)
-	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Version() != FormatVersion {
-		t.Fatalf("Version=%d, want %d", ir.Version(), FormatVersion)
-	}
+	ir := openTest(t, data)
 	if ir.Meta().Program != "synthetic" {
 		t.Fatalf("meta %+v", ir.Meta())
 	}
@@ -47,42 +44,6 @@ func TestIndexedReaderRoundTrip(t *testing.T) {
 		s2.Close()
 		checkEvents(t, g1, evs[:lo])
 		checkEvents(t, g2, evs[lo:])
-	}
-}
-
-// TestIndexedReaderTail checks the backward warm-up window decode,
-// including windows larger than one chunk and larger than the prefix.
-func TestIndexedReaderTail(t *testing.T) {
-	data, evs, prog := writeTestTrace(t, 1000, 64)
-	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ before, k int }{
-		{0, 8},           // nothing before chunk 0
-		{1, 8},           // within one chunk
-		{3, 200},         // window spans multiple chunks, capped at the prefix
-		{ir.Chunks(), 5}, // from the very end
-	} {
-		tail, err := ir.Tail(prog, tc.before, tc.k)
-		if err != nil {
-			t.Fatalf("Tail(%d,%d): %v", tc.before, tc.k, err)
-		}
-		end := len(evs)
-		if tc.before < ir.Chunks() {
-			end = int(ir.Base(tc.before))
-		}
-		if tc.before <= 0 {
-			end = 0
-		}
-		wantLen := tc.k
-		if end < wantLen {
-			wantLen = end
-		}
-		if len(tail) != wantLen {
-			t.Fatalf("Tail(%d,%d) returned %d events, want %d", tc.before, tc.k, len(tail), wantLen)
-		}
-		checkEvents(t, tail, evs[end-wantLen:end])
 	}
 }
 
@@ -139,25 +100,32 @@ func TestIndexedReaderRejectsCorruptFooter(t *testing.T) {
 	}
 }
 
-// TestIndexedReaderV1ErrNoIndex: a v1 trace has no footer index — the
-// indexed open must fail with ErrNoIndex so callers take the
-// sequential fallback, and the sequential reader must still decode it.
-func TestIndexedReaderV1ErrNoIndex(t *testing.T) {
-	data, evs, prog := writeTestTraceVersion(t, 3000, 256, 1)
-	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("indexed open of v1 trace: err=%v, want ErrNoIndex", err)
+// TestIndexedReaderRetiredFormat opens handcrafted v1, v2 and v3
+// headers (the writers that produced them are gone): each must fail
+// with ErrRetiredFormat and a message that says to re-record, while a
+// damaged current-format file fails with a different error.
+func TestIndexedReaderRetiredFormat(t *testing.T) {
+	for v := 1; v < FormatVersion; v++ {
+		meta := []byte(`{"program":"hmmsearch","chunk_events":16384,"compression":"flate"}`)
+		magic := headerMagic(v)
+		data := append([]byte{}, magic[:]...)
+		data = binary.AppendUvarint(data, uint64(len(meta)))
+		data = append(data, meta...)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(meta))
+		data = append(data, 0) // terminator: an empty data section
+		_, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+		if !errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("v%d: err=%v, want ErrRetiredFormat", v, err)
+		}
+		if !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("v%d: message %q does not say to re-record", v, err)
+		}
 	}
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	data, _, _ := writeTestTrace(t, 100, 64)
+	data = data[:len(data)-1]
+	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); err == nil || errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("truncated current-format trace: err=%v, want a non-retired error", err)
 	}
-	if tr.Version() != 1 {
-		t.Fatalf("Version=%d, want 1", tr.Version())
-	}
-	src := tr.Events(prog)
-	got := drain(t, src)
-	src.Close()
-	checkEvents(t, got, evs)
 }
 
 // TestChunkBoundaryGoldens pins the writer/reader behavior at the
@@ -174,20 +142,12 @@ func TestChunkBoundaryGoldens(t *testing.T) {
 		{0, 256, 0},    // empty trace: header + footer only
 	} {
 		data, evs, prog := writeTestTrace(t, tc.n, tc.chunk)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
-		}
-		src := tr.Events(prog)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
-		if tr.TotalEvents() != uint64(tc.n) {
-			t.Fatalf("n=%d: TotalEvents=%d", tc.n, tr.TotalEvents())
-		}
 		ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("n=%d: indexed open: %v", tc.n, err)
+		}
+		if ir.TotalEvents() != uint64(tc.n) {
+			t.Fatalf("n=%d: TotalEvents=%d", tc.n, ir.TotalEvents())
 		}
 		if ir.Chunks() != tc.wantChunks {
 			t.Fatalf("n=%d chunk=%d: Chunks=%d, want %d", tc.n, tc.chunk, ir.Chunks(), tc.wantChunks)
@@ -196,45 +156,31 @@ func TestChunkBoundaryGoldens(t *testing.T) {
 		igot := drain(t, isrc)
 		isrc.Close()
 		checkEvents(t, igot, evs)
-		tail, err := ir.Tail(prog, ir.Chunks(), 8)
-		if err != nil {
-			t.Fatalf("n=%d: Tail: %v", tc.n, err)
-		}
-		wantTail := 8
-		if tc.n < wantTail {
-			wantTail = tc.n
-		}
-		if len(tail) != wantTail {
-			t.Fatalf("n=%d: Tail returned %d events, want %d", tc.n, len(tail), wantTail)
+		// The last chunk alone decodes to the stream's tail.
+		if tc.wantChunks > 0 {
+			last := ir.Range(prog, ir.Chunks()-1, ir.Chunks())
+			lgot := drain(t, last)
+			last.Close()
+			checkEvents(t, lgot, evs[ir.Base(ir.Chunks()-1):])
 		}
 	}
 }
 
 // TestSourceCloseMidStream: Close with chunks still undelivered must
-// make every later Next fail with ErrClosed — sticky, for both the
-// sequential and the parallel source — rather than read through a
-// released reader or recycled buffers.
+// make every later Next fail with ErrClosed — sticky — rather than read
+// through a released reader or recycled buffers.
 func TestSourceCloseMidStream(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 5000, 64)
-	sources := map[string]func(*Reader) *Source{
-		"sequential": func(tr *Reader) *Source { return tr.Events(prog) },
-		"parallel":   func(tr *Reader) *Source { return tr.ParallelEvents(prog, 2) },
+	ir := openTest(t, data)
+	src := ir.Range(prog, 0, ir.Chunks())
+	if _, _, err := src.Next(); err != nil {
+		t.Fatalf("first Next: %v", err)
 	}
-	for name, open := range sources {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	src.Close()
+	for i := 0; i < 3; i++ {
+		if _, _, err := src.Next(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Next after Close (call %d): err=%v, want ErrClosed", i, err)
 		}
-		src := open(tr)
-		if _, _, err := src.Next(); err != nil {
-			t.Fatalf("%s: first Next: %v", name, err)
-		}
-		src.Close()
-		for i := 0; i < 3; i++ {
-			if _, _, err := src.Next(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("%s: Next after Close (call %d): err=%v, want ErrClosed", name, i, err)
-			}
-		}
-		src.Close() // double Close must be safe
 	}
+	src.Close() // double Close must be safe
 }

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -56,46 +57,55 @@ func recordRun(t *testing.T, name string) (*isa.Program, string, []byte, uint64)
 }
 
 // TestReplayProfileGolden is the replay-fidelity golden test: a
-// characterization computed from a recorded trace — sequentially or
-// with the component-parallel analysis — renders byte-identical to one
+// characterization computed from a recorded trace — by feeding the
+// decoded event slabs to the live analysis, or through the
+// block-characterized column engine — renders byte-identical to one
 // computed live during simulation.
 func TestReplayProfileGolden(t *testing.T) {
+	ctx := context.Background()
 	for _, name := range []string{"hmmsearch", "predator"} {
 		prog, want, data, insts := recordRun(t, name)
-
-		// Sequential replay through the BatchObserver contract.
-		tr, err := trace.NewReader(bytes.NewReader(data))
+		ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tr.Meta().Program != name {
-			t.Fatalf("%s: trace meta names %q", name, tr.Meta().Program)
+		if ir.Meta().Program != name {
+			t.Fatalf("%s: trace meta names %q", name, ir.Meta().Program)
 		}
+
+		// Event replay through the BatchObserver contract.
 		seq := loadchar.New(prog)
-		n, err := tr.Replay(context.Background(), prog, seq)
-		if err != nil {
-			t.Fatalf("%s: replay: %v", name, err)
+		src := ir.Range(prog, 0, ir.Chunks())
+		var n uint64
+		for {
+			evs, release, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: replay: %v", name, err)
+			}
+			seq.ObserveBatch(evs)
+			n += uint64(len(evs))
+			release()
 		}
+		src.Close()
 		if n != insts {
 			t.Fatalf("%s: replayed %d events, want %d", name, n, insts)
 		}
 		if got := loadchar.RenderProfile(name, "test", seq, 10); got != want {
-			t.Errorf("%s: sequential replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
+			t.Errorf("%s: event replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
 		}
 
-		// Component-parallel replay with parallel chunk decode.
-		tr2, err := trace.NewReader(bytes.NewReader(data))
+		// Column replay with parallel chunk decode and sharded lanes.
+		cols := ir.Columns(ctx, prog, 0, ir.Chunks(), 2)
+		runs, err := loadchar.AnalyzeRuns(ctx, prog, cols, 4)
+		cols.Close()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: column replay: %v", name, err)
 		}
-		src := tr2.ParallelEvents(prog, 2)
-		par, err := loadchar.AnalyzeParallel(context.Background(), prog, src)
-		src.Close()
-		if err != nil {
-			t.Fatalf("%s: parallel replay: %v", name, err)
-		}
-		if got := loadchar.RenderProfile(name, "test", par, 10); got != want {
-			t.Errorf("%s: parallel replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
+		if got := loadchar.RenderProfile(name, "test", runs, 10); got != want {
+			t.Errorf("%s: column replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
 		}
 	}
 }

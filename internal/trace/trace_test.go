@@ -44,24 +44,16 @@ func testProgramMixed(n int) *isa.Program {
 
 // writeTestTrace records n synthetic events through the BatchObserver
 // path with a small chunk size so multiple chunks are exercised, and
-// returns the encoded bytes plus the events.
+// returns the encoded bytes plus the events. The generated stream is
+// run-representable — targets name the next committed PC and the taken
+// and address fields respect each PC's class.
 func writeTestTrace(t *testing.T, n, chunk int) ([]byte, []sim.Event, *isa.Program) {
-	t.Helper()
-	return writeTestTraceVersion(t, n, chunk, FormatVersion)
-}
-
-// writeTestTraceVersion is writeTestTrace with a pinned format version,
-// so back-compat tests can produce v1 streams with today's writer. The
-// generated stream is run-representable — targets name the next
-// committed PC and the taken and address fields respect each PC's
-// class — so the same generator serves every version including v4.
-func writeTestTraceVersion(t *testing.T, n, chunk, version int) ([]byte, []sim.Event, *isa.Program) {
 	t.Helper()
 	prog := testProgramMixed(1 << 12)
 	evs := testEventStream(n, prog)
 	var buf bytes.Buffer
 	r := rand.New(rand.NewSource(int64(n) + 1))
-	tw := NewWriterVersion(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog, version)
+	tw := NewWriter(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog)
 	// Deliver in uneven slabs to exercise partial-chunk accumulation.
 	for lo := 0; lo < n; {
 		hi := lo + 1 + r.Intn(300)
@@ -139,98 +131,67 @@ func checkEvents(t *testing.T, got, want []sim.Event) {
 	}
 }
 
+// openTest opens an in-memory trace through its footer index.
+func openTest(t *testing.T, data []byte) *IndexedReader {
+	t.Helper()
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("open trace: %v", err)
+	}
+	return ir
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 257, 5000} {
 		data, evs, prog := writeTestTrace(t, n, 256)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		ir := openTest(t, data)
+		if ir.Meta().Program != "synthetic" || ir.Meta().Size != "test" {
+			t.Fatalf("n=%d: meta %+v", n, ir.Meta())
 		}
-		if tr.Meta().Program != "synthetic" || tr.Meta().Size != "test" {
-			t.Fatalf("n=%d: meta %+v", n, tr.Meta())
-		}
-		src := tr.Events(prog)
+		src := ir.Range(prog, 0, ir.Chunks())
 		got := drain(t, src)
 		src.Close()
 		checkEvents(t, got, evs)
-		if tr.TotalEvents() != uint64(n) {
-			t.Fatalf("n=%d: TotalEvents=%d", n, tr.TotalEvents())
+		if ir.TotalEvents() != uint64(n) {
+			t.Fatalf("n=%d: TotalEvents=%d", n, ir.TotalEvents())
 		}
 	}
 }
 
+// TestParallelStreamRoundTrip decodes the same trace through the
+// work-claiming column pool at several worker counts: delivery must
+// stay in commit order and every column must match the recorded
+// events.
 func TestParallelStreamRoundTrip(t *testing.T) {
+	data, evs, prog := writeTestTrace(t, 10000, 128)
+	ir := openTest(t, data)
 	for _, workers := range []int{1, 2, 4} {
-		data, evs, prog := writeTestTrace(t, 10000, 128)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := tr.ParallelEvents(prog, workers)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers), evs, prog)
 	}
 }
 
+// TestParallelSourceEarlyClose closes a column pool with most chunks
+// undelivered: it must not deadlock waiting on blocked workers.
 func TestParallelSourceEarlyClose(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 20000, 64)
-	tr, err := NewReader(bytes.NewReader(data))
+	ir := openTest(t, data)
+	src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 4)
+	_, release, err := src.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := tr.ParallelEvents(prog, 4)
-	if _, _, err := src.Next(); err != nil {
-		t.Fatal(err)
-	}
-	src.Close() // must not deadlock with most chunks undelivered
+	release()
+	src.Close()
 }
 
-type collector struct{ evs []sim.Event }
-
-func (c *collector) ObserveBatch(evs []sim.Event) {
-	c.evs = append(c.evs, evs...)
-}
-
-func TestReplayHelper(t *testing.T) {
-	data, evs, prog := writeTestTrace(t, 3000, 512)
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c collector
-	n, err := tr.Replay(context.Background(), prog, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3000 {
-		t.Fatalf("replayed %d events, want 3000", n)
-	}
-	checkEvents(t, c.evs, evs)
-}
-
-func TestReplayCancel(t *testing.T) {
-	data, _, prog := writeTestTrace(t, 3000, 64)
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var c collector
-	if _, err := tr.Replay(ctx, prog, &c); err == nil {
-		t.Fatal("replay with canceled context succeeded")
-	}
-}
-
-// replayAll decodes data fully, returning an error instead of failing,
-// for the corruption sweeps.
+// replayAll opens and decodes data fully, returning an error instead
+// of failing, for the corruption sweeps.
 func replayAll(data []byte, prog *isa.Program) error {
-	tr, err := NewReader(bytes.NewReader(data))
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}
-	src := tr.Events(prog)
+	src := ir.Range(prog, 0, ir.Chunks())
 	defer src.Close()
 	for {
 		_, release, err := src.Next()
@@ -288,7 +249,7 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 		[]byte("BPTRACE0"),
 		hm[:],
 	} {
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
+		if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); err == nil {
 			t.Fatalf("header %q accepted", data)
 		}
 	}
