@@ -37,7 +37,7 @@ func cmdPhases(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	name := fs.String("program", "hmmsearch", "application to analyze")
 	sizeFlag := fs.String("size", "classB", "input size (test|classB|classC)")
-	interval := fs.Uint64("interval", 0, "events per interval (0 = default 1Mi)")
+	interval := fs.Uint64("interval", 0, "events per interval (0 = default 256Ki); a multiple of the 16Ki trace chunk, or sampling degrades to exact")
 	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -139,7 +139,7 @@ func cmdBenchSampling(args []string, stderr io.Writer) int {
 	jsonPath := fs.String("json", "BENCH_sampling.json", "output JSON path")
 	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
 	samples := fs.Int("n", 3, "samples per timing (best-of-N)")
-	interval := fs.Uint64("interval", 0, "events per interval (0 = default 1Mi; smoke runs shrink this)")
+	interval := fs.Uint64("interval", 0, "events per interval (0 = default 256Ki; smoke runs shrink this); a multiple of the 16Ki trace chunk, or sampling degrades to exact")
 	checkErrors := fs.Bool("check-errors", false, "fail if a classB row exceeds its tolerance")
 	checkSpeedup := fs.Float64("check-speedup", 0, "fail unless every classC speedup >= this (0 = no check)")
 	if err := fs.Parse(args); err != nil {

@@ -279,6 +279,13 @@ func assembleAnalysis(prog *isa.Program, hcfg cache.HierarchyConfig, eng *runEng
 	}
 	a.bp.bp = bpred.RestoreTracker(per, totalB)
 
+	if len(mems) == 1 {
+		// A single lane already holds the whole run's stats; reuse it
+		// rather than allocate a second paper-geometry hierarchy.
+		a.cache.hier = mems[0].hier
+		a.cache.l1miss = mems[0].l1miss
+		return a
+	}
 	a.cache.hier = cache.NewHierarchy(hcfg)
 	var l1, l2 cache.Stats
 	a.cache.l1miss = make([]uint64, len(prog.Insts))

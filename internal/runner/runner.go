@@ -482,22 +482,26 @@ func (s *Session) EvaluateGroup(ctx context.Context, p *bio.Program, cfgs []pipe
 }
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the calls out
-// across the session's worker pool. fn must write its result into a
-// caller-owned slot indexed by i, which makes output ordering
-// deterministic regardless of goroutine scheduling. When any calls
-// fail, the lowest-index error is returned — the same error a
-// sequential loop would surface first — so parallel and sequential
-// sessions report identically.
+// across the session's worker pool (see forEach).
+func (s *Session) ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	return forEach(ctx, s.jobs, n, fn)
+}
+
+// forEach invokes fn(i) for every i in [0, n) on up to workers
+// goroutines. fn must write its result into a caller-owned slot
+// indexed by i, which makes output ordering deterministic regardless
+// of goroutine scheduling. When any calls fail, the lowest-index error
+// is returned — the same error a sequential loop would surface first —
+// so parallel and sequential runs report identically.
 //
 // Once ctx is canceled no further indices are dispatched; calls
 // already in flight finish on their own (fn is expected to observe
 // the same ctx). If every dispatched call succeeded but the sweep was
 // cut short, ctx.Err() is returned.
-func (s *Session) ForEach(ctx context.Context, n int, fn func(i int) error) error {
+func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := s.jobs
 	if workers > n {
 		workers = n
 	}

@@ -6,11 +6,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
@@ -84,9 +81,12 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // trace: interval collection, clustering, representative replay with
 // warmup, and weighted extrapolation into one analysis. It is the
 // engine under the session's sampled tier and `bioperf bench-sampling`.
-// A *simpoint.DegradeError means the trace is too small to sample.
-// The representative replays fan out perfectly — each owns a private
-// analysis — so jobs bounds both the collection scan and the replays.
+// A *simpoint.DegradeError means sampling does not apply: the trace is
+// too small to sample, or the representatives do not fall on chunk
+// boundaries (an interval size that is not a multiple of the trace's
+// chunk size). The representative replays fan out perfectly — each
+// owns a private analysis — so jobs bounds both the collection scan
+// and the replays.
 func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg simpoint.Config, jobs int) (*loadchar.Analysis, *simpoint.Plan, error) {
 	cfg = cfg.WithDefaults()
 	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, jobs)
@@ -97,8 +97,17 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, c := range plan.Clusters {
+		_, okStart := chunkAt(ir, c.Start)
+		_, okEnd := chunkAt(ir, c.End)
+		if !okStart || !okEnd {
+			return nil, nil, &simpoint.DegradeError{Reason: fmt.Sprintf(
+				"representative [%d,%d) does not fall on trace chunk boundaries (interval size %d is not a multiple of the chunk size)",
+				c.Start, c.End, plan.Config.IntervalSize)}
+		}
+	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
-	err = parallelEach(ctx, jobs, len(plan.Clusters), func(i int) error {
+	err = forEach(ctx, jobs, len(plan.Clusters), func(i int) error {
 		c := plan.Clusters[i]
 		snap, err := replayInterval(ctx, prog, ir, c.Start, c.End, plan.Config.WarmupEvents)
 		if err != nil {
@@ -124,124 +133,71 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	return a, plan, nil
 }
 
-// parallelEach is ForEach without a session: run fn for every index on
-// up to jobs goroutines, returning the first error.
-func parallelEach(ctx context.Context, jobs, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
+// chunkAt returns the index of the chunk whose first event is seq, or
+// Chunks() when seq is the trace's end; ok is false when seq falls
+// inside a chunk.
+func chunkAt(ir *trace.IndexedReader, seq uint64) (int, bool) {
+	n := ir.Chunks()
+	i := sort.Search(n, func(i int) bool { return ir.Base(i) >= seq })
+	if i == n {
+		return i, seq == ir.TotalEvents()
 	}
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return i, ir.Base(i) == seq
 }
 
-// replayInterval characterizes exactly the events in [start, end) with
-// warmed microarchitectural state: a fresh analysis replays from a
-// chunk boundary at least warm events before start, a snapshot taken
-// right as the stream crosses start is subtracted from the final one,
-// and the difference is the interval's exact counts under the warmed
-// cache and predictor. Both prefixes are deterministic, so the
-// subtraction is exact, not approximate.
-func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, start, end, warm uint64) (*loadchar.Snapshot, error) {
+// warmChunk returns the chunk a representative starting at start
+// replays from: the one holding the event warm events before start.
+func warmChunk(ir *trace.IndexedReader, start, warm uint64) int {
 	warmStart := uint64(0)
 	if start > warm {
 		warmStart = start - warm
 	}
-	n := ir.Chunks()
-	lo := sort.Search(n, func(i int) bool { return ir.Base(i) > warmStart }) - 1
+	lo := sort.Search(ir.Chunks(), func(i int) bool { return ir.Base(i) > warmStart }) - 1
 	if lo < 0 {
 		lo = 0
 	}
-	hi := sort.Search(n, func(i int) bool { return ir.Base(i) >= end })
+	return lo
+}
 
-	a := loadchar.New(prog)
-	var pre *loadchar.Snapshot
-	src := ir.Range(prog, lo, hi)
-	defer src.Close()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		evs, release, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		base := evs[0].Seq
-		if base >= end {
-			release()
-			break
-		}
-		if base+uint64(len(evs)) > end {
-			evs = evs[:end-base]
-		}
-		if pre == nil {
-			if base >= start {
-				pre = a.Snapshot()
-			} else if base+uint64(len(evs)) > start {
-				cut := start - base
-				a.ObserveBatch(evs[:cut])
-				pre = a.Snapshot()
-				evs = evs[cut:]
-			}
-		}
-		if len(evs) > 0 {
-			a.ObserveBatch(evs)
-		}
-		last := base + uint64(len(evs))
-		release()
-		if last >= end {
-			break
-		}
+// replayInterval characterizes exactly the events in [start, end) with
+// warmed microarchitectural state. Two run replays start from the same
+// chunk boundary at least warm events before start: one stops at
+// start, the other at end, and the first snapshot is subtracted from
+// the second. The difference is the interval's exact counts under the
+// warmed cache and predictor: both replays see the same deterministic
+// prefix, so the subtraction is exact, not approximate. start and end
+// must be chunk boundaries (end may be the trace's end).
+func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, start, end, warm uint64) (*loadchar.Snapshot, error) {
+	s, okS := chunkAt(ir, start)
+	hi, okE := chunkAt(ir, end)
+	if !okS || !okE || s >= hi {
+		return nil, fmt.Errorf("interval [%d,%d) is not a non-empty chunk-aligned range", start, end)
 	}
-	if pre == nil {
-		return nil, fmt.Errorf("trace ended before interval start %d", start)
+	lo := warmChunk(ir, start, warm)
+	pre, err := replayChunks(ctx, prog, ir, lo, s)
+	if err != nil {
+		return nil, err
 	}
-	final := a.Snapshot()
+	final, err := replayChunks(ctx, prog, ir, lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	if err := final.Sub(pre); err != nil {
 		return nil, err
 	}
 	return final, nil
+}
+
+// replayChunks characterizes chunks [lo, hi) on one worker; the
+// representatives already fan out across clusters.
+func replayChunks(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, lo, hi int) (*loadchar.Snapshot, error) {
+	src := ir.Columns(ctx, prog, lo, hi, 1)
+	defer src.Close()
+	a, err := loadchar.AnalyzeRuns(ctx, prog, src, 1)
+	if err != nil {
+		return nil, err
+	}
+	return a.Snapshot(), nil
 }
 
 // sampledTrace opens an indexed reader over the trace for (p, sz),
@@ -273,33 +229,6 @@ func (s *Session) sampledTrace(ctx context.Context, p *bio.Program, sz bio.Size,
 		return nil, noop, fmt.Errorf("%s: index in-memory trace: %w", p.Name, err)
 	}
 	return ir, noop, nil
-}
-
-// openTrace opens the stored trace as an indexed reader, evicting
-// anything unindexable or mismatched.
-func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.IndexedReader, func(), bool) {
-	key := traceKey(fp, sz)
-	rc, size, ok := s.store.OpenReader(key)
-	if !ok {
-		return nil, nil, false
-	}
-	ra, isRA := rc.(io.ReaderAt)
-	if !isRA {
-		rc.Close()
-		return nil, nil, false
-	}
-	ir, err := trace.NewIndexedReader(ra, size)
-	if err != nil {
-		rc.Close()
-		s.store.Delete(key)
-		return nil, nil, false
-	}
-	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
-		rc.Close()
-		s.store.Delete(key)
-		return nil, nil, false
-	}
-	return ir, func() { rc.Close() }, true
 }
 
 // recordTrace runs the program once with only a trace writer attached.

@@ -1,13 +1,20 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
+	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/sim"
 	"bioperfload/internal/simpoint"
+	"bioperfload/internal/trace"
 )
 
 // testSimPoint shrinks the intervals so test-size runs (~100k-400k
@@ -107,6 +114,168 @@ func TestSampledSingleBlockDegrades(t *testing.T) {
 	}
 }
 
+// TestSampledMisalignedIntervalsDegrade: intervals shorter than the
+// trace's 16Ki-event chunks start inside a chunk, which the run replay
+// cannot do; SampledAnalyze reports a degrade naming the misalignment,
+// and the session serves the exact profile instead of failing.
+func TestSampledMisalignedIntervalsDegrade(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simpoint.Config{IntervalSize: 8192, WarmupEvents: 4096}
+	prog, err := p.Compile(false, compiler.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = SampledAnalyze(ctx, prog, recordTestTrace(t, p, prog), cfg, 2)
+	var de *simpoint.DegradeError
+	if !errors.As(err, &de) || !strings.Contains(de.Reason, "chunk boundaries") {
+		t.Fatalf("SampledAnalyze err = %v, want a chunk-alignment degrade", err)
+	}
+
+	s := NewSession(2)
+	s.SetSimPoint(cfg)
+	prof, err := s.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := s.Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(prof, bio.SizeTest), render(exact, bio.SizeTest); got != want {
+		t.Errorf("degraded profile differs from exact:\n--- degraded ---\n%s\n--- exact ---\n%s", got, want)
+	}
+	if st := s.Stats(); st.SampledDegrades != 1 || st.SampledChars != 0 {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+// runTest simulates p at test size with obs attached.
+func runTest(t *testing.T, p *bio.Program, prog *isa.Program, obs sim.BatchObserver) {
+	t.Helper()
+	m, err := sim.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind(m, bio.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	m.AddBatchObserver(obs)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordTestTrace records p's test-size run into an in-memory trace.
+func recordTestTrace(t *testing.T, p *bio.Program, prog *isa.Program) *trace.IndexedReader {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.Meta{Program: p.Name}, prog)
+	runTest(t, p, prog, tw)
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ir, err := trace.NewIndexedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ir
+}
+
+// liveInterval is the oracle for replayInterval: a live analysis fed
+// the simulator's own batches from the warm-start chunk base on, with
+// snapshots taken as the stream crosses start and end.
+type liveInterval struct {
+	from, start, end uint64
+	a                *loadchar.Analysis
+	pre, final       *loadchar.Snapshot
+}
+
+func (l *liveInterval) ObserveBatch(evs []sim.Event) {
+	for len(evs) > 0 && l.final == nil {
+		seq, n := evs[0].Seq, uint64(len(evs))
+		switch {
+		case seq < l.from:
+			n = min(n, l.from-seq)
+		case seq < l.start:
+			n = min(n, l.start-seq)
+			l.a.ObserveBatch(evs[:n])
+		default:
+			if l.pre == nil {
+				l.pre = l.a.Snapshot()
+			}
+			n = min(n, l.end-seq)
+			l.a.ObserveBatch(evs[:n])
+			if seq+n == l.end {
+				l.final = l.a.Snapshot()
+			}
+		}
+		evs = evs[n:]
+	}
+}
+
+// TestReplayIntervalMatchesLive pins representative replay to the live
+// analysis: for every cluster of the test-size plan, the two run
+// replays' prefix subtraction equals, field for field, the difference
+// of a live analysis's snapshots at the interval's start and end.
+func TestReplayIntervalMatchesLive(t *testing.T) {
+	ctx := context.Background()
+	cfg := testSimPoint.WithDefaults()
+	for _, name := range []string{"hmmsearch", "predator"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := bio.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := p.Compile(false, compiler.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ir := recordTestTrace(t, p, prog)
+			intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := simpoint.BuildPlan(intervals, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			lives := make([]*liveInterval, len(plan.Clusters))
+			for i, c := range plan.Clusters {
+				from := ir.Base(warmChunk(ir, c.Start, cfg.WarmupEvents))
+				lives[i] = &liveInterval{from: from, start: c.Start, end: c.End, a: loadchar.New(prog)}
+			}
+			runTest(t, p, prog, sim.BatchObserverFunc(func(evs []sim.Event) {
+				for _, l := range lives {
+					l.ObserveBatch(evs)
+				}
+			}))
+
+			for i, c := range plan.Clusters {
+				l := lives[i]
+				if l.final == nil {
+					t.Fatalf("cluster %d [%d,%d): live run never reached the interval's end", i, c.Start, c.End)
+				}
+				if err := l.final.Sub(l.pre); err != nil {
+					t.Fatal(err)
+				}
+				got, err := replayInterval(ctx, prog, ir, c.Start, c.End, cfg.WarmupEvents)
+				if err != nil {
+					t.Fatalf("cluster %d [%d,%d): %v", i, c.Start, c.End, err)
+				}
+				if !reflect.DeepEqual(got, l.final) {
+					t.Errorf("cluster %d [%d,%d): replayed snapshot differs from live\nreplay: %+v\nlive:   %+v",
+						i, c.Start, c.End, got, l.final)
+				}
+			}
+		})
+	}
+}
+
 // TestSampledStoreRoundTrip: a second session over the same store
 // serves the sampled profile from its snapshot (no simulation), and
 // the sampled artifact never shadows the exact one.
@@ -149,7 +318,7 @@ func TestSampledStoreRoundTrip(t *testing.T) {
 	// A different sampling config must miss the snapshot (its key
 	// carries the config fingerprint) rather than serve a stale plan.
 	s3 := NewSessionWithStore(2, st2)
-	s3.SetSimPoint(simpoint.Config{IntervalSize: 8192, WarmupEvents: 4096})
+	s3.SetSimPoint(simpoint.Config{IntervalSize: 32768, WarmupEvents: 4096})
 	if _, err := s3.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled); err != nil {
 		t.Fatal(err)
 	}

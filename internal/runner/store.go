@@ -248,33 +248,15 @@ func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio
 // settle the request with the error so cancellation is never misread
 // as corruption.
 func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, error, bool) {
-	key := traceKey(fp, sz)
-	rc, size, ok := s.store.OpenReader(key)
-	if !ok {
-		return nil, nil, false
-	}
-	defer rc.Close()
-
-	evict := func() (*Profile, error, bool) {
-		s.store.Delete(key)
-		return nil, nil, false
-	}
-
 	// The store hands back the object file, so the footer index is
 	// reachable through io.ReaderAt and replay runs sharded
 	// (ReplayAnalyze sizes workers from the session's jobs, which
 	// default to GOMAXPROCS).
-	ra, isRA := rc.(io.ReaderAt)
-	if !isRA {
-		return evict()
+	ir, closeTrace, ok := s.openTrace(p, sz, fp)
+	if !ok {
+		return nil, nil, false
 	}
-	ir, err := trace.NewIndexedReader(ra, size)
-	if err != nil {
-		return evict()
-	}
-	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
-		return evict()
-	}
+	defer closeTrace()
 	prog, err := s.replayProgram(p, fp)
 	if err != nil {
 		return nil, err, true
@@ -285,12 +267,40 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		if isContextErr(err) || ctx.Err() != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err), true
 		}
-		return evict() // damaged trace: fall back to cold simulation
+		s.store.Delete(traceKey(fp, sz)) // damaged trace: fall back to cold simulation
+		return nil, nil, false
 	}
 	if s.jobs > 1 && !a.Exec.Parallel() {
 		s.replaySerial.Add(1)
 	}
 	return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
+}
+
+// openTrace opens the stored trace as an indexed reader, evicting
+// anything unindexable or mismatched.
+func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.IndexedReader, func(), bool) {
+	key := traceKey(fp, sz)
+	rc, size, ok := s.store.OpenReader(key)
+	if !ok {
+		return nil, nil, false
+	}
+	ra, isRA := rc.(io.ReaderAt)
+	if !isRA {
+		rc.Close()
+		return nil, nil, false
+	}
+	ir, err := trace.NewIndexedReader(ra, size)
+	if err != nil {
+		rc.Close()
+		s.store.Delete(key)
+		return nil, nil, false
+	}
+	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
+		rc.Close()
+		s.store.Delete(key)
+		return nil, nil, false
+	}
+	return ir, func() { rc.Close() }, true
 }
 
 // replayProgram returns the compiled program a trace rebinds to:

@@ -17,9 +17,11 @@ package simpoint
 
 import "fmt"
 
-// Defaults for Config. The interval size is a multiple of the trace
+// Defaults for Config. DefaultIntervalSize is a multiple of the trace
 // chunk size (16Ki events), so interval edges coincide with chunk
-// edges and representative replay never decodes partial chunks.
+// edges: representative replay starts and stops only on chunk
+// boundaries, and a plan whose representatives are not chunk-aligned
+// degrades to exact.
 const (
 	DefaultIntervalSize = 1 << 18   // events per interval (256Ki)
 	DefaultDims         = 16        // random-projection dimensions
@@ -35,7 +37,9 @@ const (
 // tiny traces.
 type Config struct {
 	// IntervalSize is the number of committed instructions per
-	// interval.
+	// interval. It must be a multiple of the trace chunk size
+	// (trace.ChunkEvents, 16Ki), or the sampled request degrades to
+	// exact.
 	IntervalSize uint64
 	// Dims is the dimensionality BBVs are randomly projected down to
 	// before clustering.

@@ -6,9 +6,8 @@
 // bitmap, per-site delta-coded addresses, per-chunk compression,
 // CRC-protected length-prefixed framing); an IndexedReader opens the
 // file through its footer's chunk index and serves any chunk range —
-// as column chunks for the block-characterized replay engine, as run
-// tokens for the phase scan, or as events rebound to the compiled
-// program — without re-simulating the run.
+// as column chunks for the block-characterized replay engine or as run
+// tokens for the phase scan — without re-simulating the run.
 package trace
 
 import (
@@ -17,16 +16,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"bioperfload/internal/isa"
-	"bioperfload/internal/sim"
 )
 
 // Record is the on-disk form of one committed instruction. It carries
 // exactly the event fields the simulator produces that cannot be
 // re-derived from the program text: the sequence number is implicit
-// (chunk base + index) and the instruction itself is rebound from the
-// program by PC at replay time.
+// (chunk base + index) and the instruction itself is recovered from
+// the program by PC at replay time.
 type Record struct {
 	PC     int32
 	Target int32
@@ -35,10 +31,10 @@ type Record struct {
 }
 
 // ChunkEvents is the default number of records per chunk. A chunk is
-// the unit of compression, CRC protection, and parallel decode; 16Ki
-// events keep the decoded event slab (~640KB) inside the L2 cache the
-// decode and analysis passes re-stream it through, while still
-// amortizing per-chunk framing overhead.
+// the unit of compression, CRC protection, and parallel decode, and
+// the granularity at which a replay can start or stop; 16Ki events
+// bound a decoded chunk's working set while still amortizing
+// per-chunk framing overhead.
 const ChunkEvents = 1 << 14
 
 // maxChunkEvents caps the decoded-record allocation a chunk header can
@@ -71,7 +67,7 @@ func uvarintAt(data []byte, pos int) (uint64, int, error) {
 // decoder owns the reusable buffers of one decode stream: the flate
 // reader (reset per frame instead of reallocating its window), the
 // decompression buffer, and a bytes.Reader over the frame payload.
-// Each range source, column worker, and scan owns exactly one.
+// Each column worker and scan owns exactly one.
 type decoder struct {
 	br  bytes.Reader
 	fr  io.ReadCloser
@@ -166,7 +162,7 @@ func splitParts(f frame) (raw1 int, s1, s2 []byte, err error) {
 // the bulk of the payload, stay compressed. Other kinds
 // decode fully (Go's inflater decodes whole 32KiB windows, so a
 // partial read of a single stream saves nothing). Frame integrity is
-// guaranteed by the CRC over the stored payload, which readFrame
+// guaranteed by the CRC over the stored payload, which chunkFrame
 // verified before any of it is decoded.
 func (d *decoder) frameTokens(f frame) ([]byte, error) {
 	if f.kind != compressionSplit {
@@ -184,22 +180,4 @@ func (d *decoder) frameTokens(f frame) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// release drops the decoder's buffers so a closed source does not pin
-// them.
-func (d *decoder) release() {
-	d.fr = nil
-	d.raw = nil
-	d.br.Reset(nil)
-}
-
-// decodeFrameEvents decompresses one frame and decodes it directly
-// into bound simulator events using the decoder's recycled buffers.
-func (d *decoder) decodeFrameEvents(f frame, prog *isa.Program, evs []sim.Event) (uint64, []sim.Event, error) {
-	raw, err := d.frameBytes(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeChunkEventsV4(raw, prog, d.dict, evs, &d.sc)
 }

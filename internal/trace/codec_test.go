@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 
+	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -27,54 +29,64 @@ func encodeChunk(t *testing.T, base uint64, evs []sim.Event) ([]byte, *v4Dict) {
 	return data, dict
 }
 
+// decodeColumns decodes one chunk payload through the column decoder
+// into ch and expands it to records.
+func decodeColumns(data []byte, prog *isa.Program, dict *v4Dict, ch *runstream.Chunk) ([]Record, error) {
+	var sc v4Scratch
+	if err := decodeChunkColumnsV4(data, dict, ch, &sc); err != nil {
+		return nil, err
+	}
+	return expandChunk(nil, ch, prog)
+}
+
 // TestChunkRoundTrip encodes run-representable streams of awkward
-// lengths at several base sequence numbers and decodes each chunk back
-// to exactly the recorded events, bound to the program.
+// lengths, and a tight loop whose tokens repeat, at several base
+// sequence numbers and decodes each chunk back to exactly the recorded
+// PCs, branch outcomes and addresses.
 func TestChunkRoundTrip(t *testing.T) {
 	prog := testProgramMixed(1 << 12)
+	var streams [][]sim.Event
 	for _, n := range []int{1, 7, 8, 9, 1000, ChunkEvents} {
-		evs := testEventStream(n, prog)
+		streams = append(streams, testEventStream(n, prog))
+	}
+	streams = append(streams, loopEvents(prog, 16, 64))
+	for _, evs := range streams {
+		n := len(evs)
 		for _, base := range []uint64{0, 1, 1 << 40} {
 			data, dict := encodeChunk(t, base, evs)
-			var sc v4Scratch
-			gotBase, got, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+			var ch runstream.Chunk
+			got, err := decodeColumns(data, prog, dict, &ch)
 			if err != nil {
 				t.Fatalf("n=%d base %d: decode: %v", n, base, err)
 			}
-			if gotBase != base {
-				t.Fatalf("n=%d: base %d, want %d", n, gotBase, base)
+			if ch.Base != base || ch.N != n {
+				t.Fatalf("n=%d: base %d n %d, want base %d", n, ch.Base, ch.N, base)
 			}
-			if len(got) != n {
-				t.Fatalf("n=%d: %d events", n, len(got))
-			}
-			for i := range evs {
-				want := evs[i]
-				want.Seq = base + uint64(i)
-				if got[i] != want {
-					t.Fatalf("n=%d base %d event %d: got %+v want %+v", n, base, i, got[i], want)
-				}
-			}
+			checkRecords(t, got, evs)
 		}
 	}
 }
 
+// TestChunkDecodeRecyclesBuffer decodes a small chunk into the column
+// buffers a larger one left behind: the decode must reuse them and
+// still yield exactly the small chunk.
 func TestChunkDecodeRecyclesBuffer(t *testing.T) {
 	prog := testProgramMixed(1 << 12)
 	big, bigDict := encodeChunk(t, 0, testEventStream(500, prog))
 	small := testEventStream(20, prog)
 	smallData, smallDict := encodeChunk(t, 0, small)
-	var sc v4Scratch
-	_, evs, err := decodeChunkEventsV4(big, prog, bigDict, nil, &sc)
+	var ch runstream.Chunk
+	if _, err := decodeColumns(big, prog, bigDict, &ch); err != nil {
+		t.Fatal(err)
+	}
+	tokens, addrs := &ch.Tokens[0], &ch.Addrs[0]
+	got, err := decodeColumns(smallData, prog, smallDict, &ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evs2, err := decodeChunkEventsV4(smallData, prog, smallDict, evs, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEvents(t, evs2, small)
-	if &evs2[0] != &evs[0] {
-		t.Error("decode did not reuse the provided buffer")
+	checkRecords(t, got, small)
+	if &ch.Tokens[0] != tokens || &ch.Addrs[0] != addrs {
+		t.Error("decode did not reuse the chunk's column buffers")
 	}
 }
 
@@ -82,8 +94,7 @@ func TestChunkDecodeRejectsCorruption(t *testing.T) {
 	prog := testProgramMixed(1 << 12)
 	buf, dict := encodeChunk(t, 42, testEventStream(100, prog))
 	decode := func(data []byte) error {
-		var sc v4Scratch
-		_, _, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+		_, err := decodeColumns(data, prog, dict, new(runstream.Chunk))
 		return err
 	}
 	if err := decode(buf); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/runstream"
-	"bioperfload/internal/sim"
 )
 
 // Format v4 is the run-native encoding: the dynamic stream of a
@@ -114,20 +113,16 @@ type v4Dict struct {
 	runs []dictRun
 	ids  map[uint64]int32 // dictKey → id, for duplicate rejection
 
-	// Bound tables. condStart/uncondStart/memStart index the flat
-	// offset arrays per run (len(runs)+1 entries); rsDict mirrors runs
-	// in the shape runstream consumers share.
-	ni          int32
-	isCond      []bool // per PC
-	isUncond    []bool
-	isMem       []bool
-	condStart   []int32
-	uncondStart []int32
-	memStart    []int32
-	condOff     []int32
-	uncondOff   []int32
-	memOff      []int32
-	rsDict      *runstream.Dict
+	// Bound tables (len(runs)+1 entries each): condStart is the
+	// running count of conditional branches per run, and memStart
+	// indexes memOff, the flat array of each run's memory-instruction
+	// offsets. rsDict mirrors runs in the shape runstream consumers
+	// share.
+	ni        int32
+	condStart []int32
+	memStart  []int32
+	memOff    []int32
+	rsDict    *runstream.Dict
 
 	bindOnce sync.Once
 	bindErr  error
@@ -162,43 +157,29 @@ func (d *v4Dict) add(pc int32, n int64) error {
 // bind builds the class tables over every entry, rejecting runs that
 // fall outside prog. Callers go through bindShared.
 func (d *v4Dict) bind(prog *isa.Program) error {
-	ni := len(prog.Insts)
-	d.ni = int32(ni)
-	d.isCond = make([]bool, ni)
-	d.isUncond = make([]bool, ni)
-	d.isMem = make([]bool, ni)
+	d.ni = int32(len(prog.Insts))
+	cls := make([]isa.Class, d.ni)
 	for pc := range prog.Insts {
-		switch isa.ClassOf(prog.Insts[pc].Op) {
-		case isa.ClassCondBranch:
-			d.isCond[pc] = true
-		case isa.ClassUncondBranch:
-			d.isUncond[pc] = true
-		case isa.ClassLoad, isa.ClassStore:
-			d.isMem[pc] = true
-		}
+		cls[pc] = isa.ClassOf(prog.Insts[pc].Op)
 	}
 	d.condStart = append(d.condStart, 0)
-	d.uncondStart = append(d.uncondStart, 0)
 	d.memStart = append(d.memStart, 0)
 	d.rsDict = &runstream.Dict{Runs: make([]runstream.Run, 0, len(d.runs))}
+	nCond := int32(0)
 	for _, r := range d.runs {
 		if int64(r.pc)+int64(r.n) > int64(d.ni) {
 			return fmt.Errorf("trace: dictionary run [%d,%d) outside program (%d insts)",
 				r.pc, int64(r.pc)+int64(r.n), d.ni)
 		}
 		for off := int32(0); off < r.n; off++ {
-			pc := r.pc + off
-			switch {
-			case d.isCond[pc]:
-				d.condOff = append(d.condOff, off)
-			case d.isUncond[pc]:
-				d.uncondOff = append(d.uncondOff, off)
-			case d.isMem[pc]:
+			switch cls[r.pc+off] {
+			case isa.ClassCondBranch:
+				nCond++
+			case isa.ClassLoad, isa.ClassStore:
 				d.memOff = append(d.memOff, off)
 			}
 		}
-		d.condStart = append(d.condStart, int32(len(d.condOff)))
-		d.uncondStart = append(d.uncondStart, int32(len(d.uncondOff)))
+		d.condStart = append(d.condStart, nCond)
 		d.memStart = append(d.memStart, int32(len(d.memOff)))
 		d.rsDict.Runs = append(d.rsDict.Runs, runstream.Run{PC: r.pc, N: r.n})
 	}
@@ -451,123 +432,6 @@ func v4ColumnCounts(dict *v4Dict, tokens []runstream.Token) (nbr, nmem int) {
 	return nbr, nmem
 }
 
-// decodeChunkEventsV4 decodes one v4 chunk payload into bound
-// simulator events: tokens expand to PC runs via the dictionary,
-// targets are the next instance's start PC (finalTargetDelta for the
-// chunk's last event), conditional branches read the taken bitmap,
-// unconditional branches are always taken, and the address column
-// fills memory instances (zero addresses included). dict must be
-// bound to prog (it is bound here on first use).
-func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
-	h, err := parseChunkV4(data, dict, sc)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := dict.bindShared(prog); err != nil {
-		return 0, nil, err
-	}
-	n := h.n
-	if cap(evs) < n {
-		evs = make([]sim.Event, n)
-	}
-	evs = evs[:n]
-	insts := prog.Insts
-
-	// PC expansion: every instance gets the fallthrough target; each
-	// run-final event's target is patched to the next instance's start
-	// PC once that is known.
-	i := 0
-	pending := -1 // run-final event awaiting its target
-	for _, t := range h.tokens {
-		r := dict.runs[t.ID]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			if pending >= 0 {
-				evs[pending].Target = r.pc
-			}
-			for off := int32(0); off < r.n; off++ {
-				pc := r.pc + off
-				evs[i] = sim.Event{Seq: h.base + uint64(i), PC: pc, Target: pc + 1, Inst: &insts[pc]}
-				i++
-			}
-			pending = i - 1
-		}
-	}
-	last := &evs[n-1]
-	last.Target = int32(int64(last.PC) + 1 + h.finalDelta) // range-checked by parseChunkV4
-
-	// Taken column: one bit per conditional-branch instance;
-	// unconditional branches are implied taken.
-	nbr, _ := v4ColumnCounts(dict, h.tokens)
-	nbb := (nbr + 7) / 8
-	pos := h.pos
-	if pos+nbb > len(data) {
-		return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, nbb)
-	}
-	bm := data[pos : pos+nbb]
-	pos += nbb
-	if nbr%8 != 0 && bm[nbb-1]>>(nbr%8) != 0 {
-		return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-	}
-	bit := 0
-	i = 0
-	for _, t := range h.tokens {
-		id := t.ID
-		r := dict.runs[id]
-		cOffs := dict.condOff[dict.condStart[id]:dict.condStart[id+1]]
-		uOffs := dict.uncondOff[dict.uncondStart[id]:dict.uncondStart[id+1]]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			for _, off := range cOffs {
-				if bm[bit>>3]&(1<<(bit&7)) != 0 {
-					evs[i+int(off)].Taken = true
-				}
-				bit++
-			}
-			for _, off := range uOffs {
-				evs[i+int(off)].Taken = true
-			}
-			i += int(r.n)
-		}
-	}
-
-	// Address column: one delta per memory instance, chained per
-	// static site.
-	sc.nextEpoch(int(dict.ni))
-	i = 0
-	got := 0
-	for _, t := range h.tokens {
-		id := t.ID
-		r := dict.runs[id]
-		mOffs := dict.memOff[dict.memStart[id]:dict.memStart[id+1]]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			for _, off := range mOffs {
-				if uint(pos) >= uint(len(data)) {
-					return 0, nil, errTruncatedVarint
-				}
-				u := uint64(data[pos])
-				pos++
-				if u >= 0x80 {
-					if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-						u = u&0x7f | uint64(data[pos])<<7
-						pos++
-					} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-						return 0, nil, err
-					}
-				}
-				pc := r.pc + off
-				a := sc.prev(pc) + uint64(unzigzag(u))
-				sc.set(pc, a)
-				evs[i+int(off)].Addr = a
-				got++
-			}
-			i += int(r.n)
-		}
-	}
-	if pos != len(data) {
-		return 0, nil, fmt.Errorf("trace: %d trailing bytes after chunk payload", len(data)-pos)
-	}
-	return h.base, evs, nil
-}
-
 // decodeChunkColumnsV4 decodes one v4 chunk payload into the
 // dictionary-backed column form: tokens stay tokens (the run engine
 // multiplies per token, not per event), the taken bitmap is copied
@@ -637,7 +501,7 @@ func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4
 // (structural and dictionary validation included) and reports it
 // through fn. data may be a stream-1 prefix (frameTokens's
 // contract); trailing-byte validation of the full payload is the
-// column/event decoders' job.
+// column decoder's job.
 func scanChunkTokensV4(data []byte, dict *v4Dict, sc *v4Scratch, fn func(pc, n int32, rep int64)) (uint64, int, error) {
 	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"io"
 	"sync"
 	"testing"
 
@@ -71,7 +70,7 @@ func validV4Parts() v4parts {
 }
 
 // TestV4ChunkCorruptionSweep feeds structurally corrupted dictionary
-// chunks to both decoders: every lie — out-of-range run ids, a
+// chunks to the column decoder: every lie — out-of-range run ids, a
 // dictBase past the footer dictionary, duplicate or overlapping
 // dictionary entries, run lengths that disagree with the chunk's event
 // count, runs outside the program, truncated or over-long columns —
@@ -82,9 +81,9 @@ func validV4Parts() v4parts {
 func TestV4ChunkCorruptionSweep(t *testing.T) {
 	prog := testProgramMixed(64)
 
-	// decode runs both decoders against a fresh footer dictionary of
-	// the given runs; it reports whether either accepted the payload.
-	decode := func(runs []dictRun, payload []byte) (accepted bool) {
+	// decode runs the column decoder against a fresh footer dictionary
+	// of the given runs; it reports whether it accepted the payload.
+	decode := func(runs []dictRun, payload []byte) bool {
 		dict, err := parseDictPayload(appendDictPayload(nil, runs))
 		if err != nil {
 			return false // the footer itself is invalid
@@ -93,13 +92,7 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 			return false
 		}
 		var sc v4Scratch
-		if _, _, err := decodeChunkEventsV4(payload, prog, dict, nil, &sc); err == nil {
-			accepted = true
-		}
-		if err := decodeChunkColumnsV4(payload, dict, new(runstream.Chunk), &sc); err == nil {
-			accepted = true
-		}
-		return accepted
+		return decodeChunkColumnsV4(payload, dict, new(runstream.Chunk), &sc) == nil
 	}
 	pristine := []dictRun{{pc: 0, n: 8}}
 	base := validV4Parts()
@@ -176,7 +169,7 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 }
 
 // TestV4RoundTripByteIdentity decodes a trace split across several
-// concurrent range workers and re-encodes the decoded stream: the
+// concurrent column readers and re-encodes the decoded stream: the
 // decoded events must match the originals exactly and the re-encoded
 // file must be byte-identical, at every worker count.
 func TestV4RoundTripByteIdentity(t *testing.T) {
@@ -184,7 +177,7 @@ func TestV4RoundTripByteIdentity(t *testing.T) {
 	data, evs, prog := writeTestTrace(t, n, chunk)
 	ir := openTest(t, data)
 	for _, workers := range []int{1, 4, 8} {
-		parts := make([][]sim.Event, workers)
+		parts := make([][]Record, workers)
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -192,29 +185,28 @@ func TestV4RoundTripByteIdentity(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				src := ir.Range(prog, lo, hi)
-				defer src.Close()
-				for {
-					got, release, err := src.Next()
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					parts[w] = append(parts[w], got...)
-					release()
-				}
+				parts[w], errs[w] = readColumns(ir, prog, lo, hi, 1)
 			}(w)
 		}
 		wg.Wait()
-		var got []sim.Event
+		var recs []Record
 		for w := range parts {
 			if errs[w] != nil {
 				t.Fatalf("workers=%d: range %d: %v", workers, w, errs[w])
 			}
-			got = append(got, parts[w]...)
+			recs = append(recs, parts[w]...)
+		}
+		// Rebuild the events: each target is the next committed PC;
+		// the column form does not carry the stream's final target.
+		got := make([]sim.Event, len(recs))
+		for i, r := range recs {
+			got[i] = sim.Event{Seq: uint64(i), PC: r.PC, Inst: &prog.Insts[r.PC], Addr: r.Addr, Taken: r.Taken}
+			if i > 0 {
+				got[i-1].Target = r.PC
+			}
+		}
+		if len(got) > 0 {
+			got[len(got)-1].Target = evs[len(evs)-1].Target
 		}
 		checkEvents(t, got, evs)
 

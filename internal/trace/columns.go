@@ -13,10 +13,9 @@ import (
 	"bioperfload/internal/runstream"
 )
 
-// parseFrameBytes parses one chunk frame from an in-memory byte span
-// (the ReaderAt analogue of readFrame): length prefixes, compression
-// kind, CRC over the stored payload, and exact consumption of the
-// span.
+// parseFrameBytes parses one chunk frame from an in-memory byte span:
+// length prefixes, compression kind, CRC over the stored payload, and
+// exact consumption of the span.
 func parseFrameBytes(buf []byte) (frame, error) {
 	pos := 0
 	rawLen, pos, err := uvarintAt(buf, pos)
@@ -93,10 +92,10 @@ const chunksPerWorker = 3
 // Columns returns a column source over chunks [lo, hi), decoded by a
 // pool of work-claiming workers (clamped to at least 1). Chunks are
 // read directly at their indexed offsets, so workers share nothing but
-// the ReaderAt and the immutable bound dictionary;
-// per-chunk validation matches Range (frame CRC, base and event-count
-// cross-checks against the index). The context is checked once per
-// chunk.
+// the ReaderAt and the immutable bound dictionary; per-chunk
+// validation matches ScanRunTokens (chunkFrame's checks, then base and
+// event-count cross-checks against the index). The context is checked
+// once per chunk.
 func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi, workers int) runstream.Source {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: Columns [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
@@ -170,18 +169,9 @@ func (s *columnSource) decodeChunk(ctx context.Context, ir *IndexedReader, dec *
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("trace: columns: %w", err)
 	}
-	off := ir.chunks[c].offset
-	flen := ir.rangeEnd(c+1) - off
-	if cap(*buf) < int(flen) {
-		*buf = make([]byte, flen)
-	}
-	b := (*buf)[:flen]
-	if _, err := ir.ra.ReadAt(b, off); err != nil {
-		return nil, fmt.Errorf("trace: chunk %d: read frame: %w", c, err)
-	}
-	f, err := parseFrameBytes(b)
+	f, err := ir.chunkFrame(c, buf)
 	if err != nil {
-		return nil, fmt.Errorf("trace: chunk %d: %w", c, err)
+		return nil, err
 	}
 	raw, err := dec.frameBytes(f)
 	if err != nil {
@@ -195,13 +185,9 @@ func (s *columnSource) decodeChunk(ctx context.Context, ir *IndexedReader, dec *
 		s.pool.Put(ch)
 		return nil, err
 	}
-	if ch.Base != ir.bases[c] {
+	if err := ir.checkChunk(c, ch.Base, ch.N); err != nil {
 		s.pool.Put(ch)
-		return nil, fmt.Errorf("trace: chunk %d base %d, expected %d", c, ch.Base, ir.bases[c])
-	}
-	if uint64(ch.N) != ir.chunks[c].events {
-		s.pool.Put(ch)
-		return nil, fmt.Errorf("trace: chunk %d decoded %d events, index records %d", c, ch.N, ir.chunks[c].events)
+		return nil, err
 	}
 	return ch, nil
 }

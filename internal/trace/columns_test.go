@@ -43,43 +43,15 @@ func checkColumns(t *testing.T, src runstream.Source, evs []sim.Event, prog *isa
 // Addrs one entry per memory event, zero addresses included.
 func checkChunkV4(t *testing.T, ch *runstream.Chunk, evs []sim.Event, i int, prog *isa.Program) int {
 	t.Helper()
-	n, br, mem := 0, 0, 0
-	for _, tok := range ch.Tokens {
-		run := ch.Dict.Runs[tok.ID]
-		for rep := int32(0); rep < tok.Rep; rep++ {
-			for k := int32(0); k < run.N; k++ {
-				ev := evs[i]
-				if run.PC+k != ev.PC {
-					t.Fatalf("event %d: pc %d, want %d", i, run.PC+k, ev.PC)
-				}
-				switch isa.ClassOf(prog.Insts[ev.PC].Op) {
-				case isa.ClassCondBranch:
-					if taken := ch.BrTaken[br>>3]&(1<<(br&7)) != 0; taken != ev.Taken {
-						t.Fatalf("event %d: taken %v, want %v", i, taken, ev.Taken)
-					}
-					br++
-				case isa.ClassUncondBranch:
-					if !ev.Taken {
-						t.Fatalf("event %d: unconditional branch recorded not-taken", i)
-					}
-				case isa.ClassLoad, isa.ClassStore:
-					if ch.Addrs[mem] != ev.Addr {
-						t.Fatalf("event %d: addr %#x, want %#x", i, ch.Addrs[mem], ev.Addr)
-					}
-					mem++
-				}
-				i++
-				n++
-			}
-		}
+	recs, err := expandChunk(nil, ch, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != ch.N {
-		t.Fatalf("chunk tokens cover %d events, header says %d", n, ch.N)
+	if i+len(recs) > len(evs) {
+		t.Fatalf("chunk at %d runs %d events past the stream", ch.Base, i+len(recs)-len(evs))
 	}
-	if mem != len(ch.Addrs) {
-		t.Fatalf("chunk at %d: %d addrs, want %d", ch.Base, len(ch.Addrs), mem)
-	}
-	return i
+	checkRecords(t, recs, evs[i:i+len(recs)])
+	return i + len(recs)
 }
 
 // TestColumnsMatchEvents decodes dictionary-backed chunks at several
@@ -184,27 +156,10 @@ func TestColumnsCorruptionDetected(t *testing.T) {
 		if err != nil {
 			continue // footer/index validation caught it
 		}
-		src := mir.Columns(context.Background(), prog, 0, mir.Chunks(), 1)
-		failed := false
-		func() {
-			defer src.Close()
-			for {
-				_, release, err := src.Next()
-				if err == io.EOF {
-					return
-				}
-				if err != nil {
-					failed = true
-					return
-				}
-				release()
-			}
-		}()
-		if !failed {
+		if got, err := readColumns(mir, prog, 0, mir.Chunks(), 1); err == nil {
 			// Rarely the flip lands in flate padding or round-trips; make
 			// sure the decoded columns still match the original events.
-			src = mir.Columns(context.Background(), prog, 0, mir.Chunks(), 1)
-			checkColumns(t, src, evs, prog)
+			checkRecords(t, got, evs)
 		}
 	}
 }

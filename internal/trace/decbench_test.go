@@ -3,10 +3,10 @@ package trace
 import (
 	"testing"
 
-	"bioperfload/internal/sim"
+	"bioperfload/internal/runstream"
 )
 
-func BenchmarkDecodeChunkEvents(b *testing.B) {
+func BenchmarkDecodeChunkColumns(b *testing.B) {
 	prog := testProgramMixed(1 << 12)
 	evs := testEventStream(ChunkEvents, prog)
 	vw := newV4Writer(prog)
@@ -18,15 +18,16 @@ func BenchmarkDecodeChunkEvents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	out := make([]sim.Event, 0, ChunkEvents)
+	if err := dict.bindShared(prog); err != nil {
+		b.Fatal(err)
+	}
+	var ch runstream.Chunk
 	var sc v4Scratch
 	b.SetBytes(int64(len(evs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, got, err := decodeChunkEventsV4(data, prog, dict, out, &sc)
-		if err != nil {
+		if err := decodeChunkColumnsV4(data, dict, &ch, &sc); err != nil {
 			b.Fatal(err)
 		}
-		out = got[:0]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"io"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -14,17 +13,15 @@ import (
 
 // FuzzCodec drives the run-native codec from one input:
 //
-//  1. The raw bytes are decoded as a chunk payload by parseChunkV4,
-//     decodeChunkEventsV4 and decodeChunkColumnsV4, against two footer
-//     dictionaries: the seed writer's, and one built from the chunk's
-//     own entries. The two full decoders must accept exactly the same
-//     payloads and agree on every event, neither may accept what
-//     parseChunkV4 rejects, and a clean decode must re-encode and
-//     decode back to the same events.
+//  1. The raw bytes are decoded as a chunk payload by the column
+//     decoder, against two footer dictionaries: the seed writer's, and
+//     one built from the chunk's own entries. It must never panic or
+//     accept what parseChunkV4 rejects, and a clean decode must
+//     re-encode and decode back to the same records.
 //  2. The raw bytes are opened as a whole trace file and read through
-//     Range, Columns and ScanRunTokens. Arbitrary input must produce an
-//     error or a clean decode — never a panic, never an oversized
-//     allocation — and whatever decodes cleanly must agree.
+//     Columns and ScanRunTokens. Arbitrary input must produce an error
+//     or a clean decode — never a panic, never an oversized allocation
+//     — and whatever decodes cleanly must agree.
 //  3. The bytes are reinterpreted as event streams and recorded: a
 //     run-representable stream must round-trip losslessly through every
 //     reader; an arbitrary one must either be refused by the writer or
@@ -58,9 +55,9 @@ func FuzzCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: arbitrary bytes as a chunk payload.
-		checkChunkDecoders(t, prog, data, seedDict)
+		checkChunkDecoder(t, prog, data, seedDict)
 		if own := chunkOwnRuns(data); own != nil {
-			checkChunkDecoders(t, prog, data, own)
+			checkChunkDecoder(t, prog, data, own)
 		}
 
 		// Direction 2: arbitrary bytes as a whole trace file.
@@ -83,54 +80,61 @@ func FuzzCodec(f *testing.F) {
 	})
 }
 
-// checkChunkDecoders decodes data as one chunk payload against a
-// footer dictionary of runs (when that dictionary is itself valid and
-// fits prog) and checks the decoders agree.
-func checkChunkDecoders(t *testing.T, prog *isa.Program, data []byte, runs []dictRun) {
+// checkChunkDecoder decodes data as one chunk payload through the
+// column decoder against a footer dictionary of runs (when that
+// dictionary is itself valid and fits prog). A clean decode must pass
+// parseChunkV4 and expand consistently, and the events it stands for
+// must re-encode with a fresh writer into a chunk that decodes back to
+// the same records.
+func checkChunkDecoder(t *testing.T, prog *isa.Program, data []byte, runs []dictRun) {
 	dict, err := parseDictPayload(appendDictPayload(nil, runs))
 	if err != nil || dict.bindShared(prog) != nil {
 		return
 	}
 	var sc v4Scratch
-	_, errP := parseChunkV4(data, dict, &sc)
-	base, evs, errE := decodeChunkEventsV4(data, prog, dict, nil, &sc)
 	var ch runstream.Chunk
-	errC := decodeChunkColumnsV4(data, dict, &ch, &sc)
-	if (errE == nil) != (errC == nil) {
-		t.Fatalf("event decoder err=%v, column decoder err=%v", errE, errC)
-	}
-	if errE != nil {
+	if decodeChunkColumnsV4(data, dict, &ch, &sc) != nil {
 		return
 	}
-	if errP != nil {
-		t.Fatalf("decoders accepted a chunk parseChunkV4 rejects: %v", errP)
+	h, err := parseChunkV4(data, dict, &sc)
+	if err != nil {
+		t.Fatalf("column decoder accepted a chunk parseChunkV4 rejects: %v", err)
 	}
-	if ch.Base != base || ch.N != len(evs) {
-		t.Fatalf("column decode shape: base %d n %d, events base %d n %d", ch.Base, ch.N, base, len(evs))
+	recs, err := expandChunk(nil, &ch, prog)
+	if err != nil {
+		t.Fatalf("clean column decode does not expand: %v", err)
 	}
-	for i := range evs {
-		if evs[i].Seq != base+uint64(i) || evs[i].Inst != &prog.Insts[evs[i].PC] {
-			t.Fatalf("event %d: bad binding %+v", i, evs[i])
+
+	// Rebuild the events: each target is the next PC, and the chunk's
+	// final target comes from its header.
+	evs := make([]sim.Event, len(recs))
+	for i, r := range recs {
+		evs[i] = sim.Event{Seq: ch.Base + uint64(i), PC: r.PC, Inst: &prog.Insts[r.PC], Addr: r.Addr, Taken: r.Taken}
+		if i > 0 {
+			evs[i-1].Target = r.PC
 		}
 	}
-	checkChunkV4(t, &ch, evs, 0, prog)
+	last := &evs[len(evs)-1]
+	last.Target = int32(int64(last.PC) + 1 + h.finalDelta)
 
-	// A clean decode must re-encode (with a fresh dictionary) and
-	// decode back to the same events.
 	vw := newV4Writer(prog)
-	re, _, err := vw.appendChunk(nil, base, recordsOf(evs))
+	re, _, err := vw.appendChunk(nil, ch.Base, recordsOf(evs))
 	if err != nil {
 		t.Fatalf("re-encode of decoded chunk failed: %v", err)
 	}
 	redict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
-	if err != nil {
-		t.Fatalf("re-encoded dictionary: %v", err)
+	if err != nil || redict.bindShared(prog) != nil {
+		t.Fatalf("re-encoded dictionary does not load: %v", err)
 	}
-	_, evs2, err := decodeChunkEventsV4(re, prog, redict, nil, &sc)
+	var ch2 runstream.Chunk
+	recs2, err := decodeColumns(re, prog, redict, &ch2)
 	if err != nil {
 		t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
 	}
-	checkEvents(t, evs2, evs)
+	if ch2.Base != ch.Base {
+		t.Fatalf("re-decoded base %d, want %d", ch2.Base, ch.Base)
+	}
+	checkRecords(t, recs2, evs)
 }
 
 // chunkOwnRuns returns the dictionary a writer of exactly data's chunk
@@ -175,9 +179,9 @@ func chunkOwnRuns(data []byte) []dictRun {
 }
 
 // checkTraceReaders opens data as a trace file and reads it through
-// Range, Columns and ScanRunTokens. With want == nil the input is
-// arbitrary: any reader may reject it, and the readers that decode it
-// cleanly must agree. With want set, every reader must reproduce it.
+// Columns and ScanRunTokens. With want == nil the input is arbitrary:
+// either reader may reject it, and when both decode it cleanly they
+// must agree. With want set, both must reproduce it.
 func checkTraceReaders(t *testing.T, prog *isa.Program, data []byte, want []sim.Event) {
 	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
@@ -186,52 +190,16 @@ func checkTraceReaders(t *testing.T, prog *isa.Program, data []byte, want []sim.
 		}
 		return
 	}
-	var evs []sim.Event
-	src := ir.Range(prog, 0, ir.Chunks())
-	for err == nil {
-		var got []sim.Event
-		var release func()
-		if got, release, err = src.Next(); err == nil {
-			evs = append(evs, got...)
-			release()
-		}
-	}
-	src.Close()
-	if err != io.EOF {
+	recs, err := readColumns(ir, prog, 0, ir.Chunks(), 2)
+	if err != nil {
 		if want != nil {
-			t.Fatalf("range decode of recorded trace: %v", err)
+			t.Fatalf("column decode of recorded trace: %v", err)
 		}
 		return
 	}
 	if want != nil {
-		if len(evs) != len(want) {
-			t.Fatalf("decoded %d events, recorded %d", len(evs), len(want))
-		}
-		for i := range want {
-			if evs[i].PC != want[i].PC || evs[i].Target != want[i].Target ||
-				evs[i].Addr != want[i].Addr || evs[i].Taken != want[i].Taken {
-				t.Fatalf("event %d: got %+v want %+v", i, evs[i], want[i])
-			}
-		}
+		checkRecords(t, recs, want)
 	}
-
-	cols := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
-	i := 0
-	for {
-		ch, release, err := cols.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if want != nil {
-				t.Fatalf("column decode of recorded trace: %v", err)
-			}
-			break
-		}
-		i = checkChunkV4(t, ch, evs, i, prog)
-		release()
-	}
-	cols.Close()
 
 	pcs, err := scanPCs(context.Background(), ir, prog, 0, ir.Chunks())
 	if err != nil {
@@ -240,12 +208,12 @@ func checkTraceReaders(t *testing.T, prog *isa.Program, data []byte, want []sim.
 		}
 		return
 	}
-	if len(pcs) != len(evs) {
-		t.Fatalf("token scan covers %d events, range decode %d", len(pcs), len(evs))
+	if len(pcs) != len(recs) {
+		t.Fatalf("token scan covers %d events, column decode %d", len(pcs), len(recs))
 	}
 	for i := range pcs {
-		if pcs[i] != evs[i].PC {
-			t.Fatalf("token scan event %d: pc %d, range decode %d", i, pcs[i], evs[i].PC)
+		if pcs[i] != recs[i].PC {
+			t.Fatalf("token scan event %d: pc %d, column decode %d", i, pcs[i], recs[i].PC)
 		}
 	}
 }

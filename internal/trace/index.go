@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"bioperfload/internal/isa"
-	"bioperfload/internal/sim"
 )
 
 // ErrRetiredFormat reports a trace written in a format this build no
@@ -23,7 +22,7 @@ var ErrRetiredFormat = errors.New("trace: retired format")
 // footer chunk index, so disjoint chunk ranges can be decoded
 // concurrently by shard workers. It performs a few reads up front
 // (header, fixed footer tail, run dictionary, index payload) and
-// validates every CRC; Range, Columns and ScanRunTokens then serve
+// validates every CRC; Columns and ScanRunTokens then serve
 // bounds-checked sections of the file.
 type IndexedReader struct {
 	ra      io.ReaderAt
@@ -230,73 +229,19 @@ func (ir *IndexedReader) rangeEnd(hi int) int64 {
 	return ir.dataEnd
 }
 
-// Range returns a sequential source over chunks [lo, hi), decoding in
-// the caller's goroutine straight into recycled event slabs bound to
-// prog. The underlying section reader is created lazily on the first
-// Next, so building many sources costs nothing until they are read.
-func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
-	if lo < 0 || hi > len(ir.chunks) || lo > hi {
-		panic(fmt.Sprintf("trace: Range [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
-	}
-	dec := &decoder{dict: ir.dict}
-	var (
-		pool       slabPool
-		br         *bufio.Reader
-		payloadBuf []byte
-		chunk      = lo
-		expect     uint64
-	)
-	if lo < len(ir.chunks) {
-		expect = ir.bases[lo]
-	}
-	next := func() ([]sim.Event, func(), error) {
-		if chunk >= hi {
-			return nil, nil, io.EOF
-		}
-		if br == nil {
-			start := ir.chunks[lo].offset
-			br = bufio.NewReaderSize(io.NewSectionReader(ir.ra, start, ir.rangeEnd(hi)-start), 1<<16)
-		}
-		f, err := readFrame(br, &payloadBuf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: chunk %d: %w", chunk, err)
-		}
-		base, evs, err := dec.decodeFrameEvents(f, prog, pool.get())
-		if err != nil {
-			return nil, nil, err
-		}
-		if base != expect {
-			return nil, nil, fmt.Errorf("trace: chunk %d base %d, expected %d", chunk, base, expect)
-		}
-		if uint64(len(evs)) != ir.chunks[chunk].events {
-			return nil, nil, fmt.Errorf("trace: chunk %d decoded %d events, index records %d",
-				chunk, len(evs), ir.chunks[chunk].events)
-		}
-		expect += uint64(len(evs))
-		chunk++
-		return evs, pool.release(evs), nil
-	}
-	closeFn := func() {
-		dec.release()
-		payloadBuf = nil
-		br = nil
-	}
-	return &Source{next: next, close: closeFn}
-}
-
 // ScanRunTokens decodes only the token stream of chunks [lo, hi),
 // reporting the committed PC sequence as run(pc, n, rep): rep
 // consecutive executions of the n-event straight-line run pc, pc+1,
 // ..., pc+n-1, in commit order. Expanding each callback rep times
-// reproduces exactly the PC sequence Range would decode. The repeats
-// come straight off the token stream, so a tight loop that dominates a
-// phase costs one callback (adjacent callbacks may still repeat the
-// same run when a chunk boundary splits a repeat). No slabs are
-// filled, and with a split-compressed frame the taken and address
-// columns are never even decompressed, which makes a phase-vector scan
-// several times cheaper than event decode. Frames still pass CRC
-// validation, and the token stream gets the full decoder's structural
-// checks. The context is checked once per chunk.
+// reproduces exactly the PC sequence the column tokens expand to. The
+// repeats come straight off the token stream, so a tight loop that
+// dominates a phase costs one callback (adjacent callbacks may still
+// repeat the same run when a chunk boundary splits a repeat). With a
+// split-compressed frame the taken and address columns are never even
+// decompressed, which makes a phase-vector scan several times cheaper
+// than a column decode. Frames get the same checks Columns applies,
+// and the token stream gets the full decoder's structural checks. The
+// context is checked once per chunk.
 func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, lo, hi int, run func(pc, n int32, rep int64)) error {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: ScanRunTokens [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
@@ -305,23 +250,19 @@ func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, l
 		return nil
 	}
 	dec := &decoder{dict: ir.dict}
-	defer dec.release()
 	// Binding validates every dictionary run against prog's
 	// instruction count, so every reported run lies inside prog.
 	if err := ir.dict.bindShared(prog); err != nil {
 		return err
 	}
-	start := ir.chunks[lo].offset
-	br := bufio.NewReaderSize(io.NewSectionReader(ir.ra, start, ir.rangeEnd(hi)-start), 1<<16)
-	var payloadBuf []byte
-	expect := ir.bases[lo]
+	var buf []byte
 	for chunk := lo; chunk < hi; chunk++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := readFrame(br, &payloadBuf)
+		f, err := ir.chunkFrame(chunk, &buf)
 		if err != nil {
-			return fmt.Errorf("trace: chunk %d: %w", chunk, err)
+			return err
 		}
 		col, err := dec.frameTokens(f)
 		if err != nil {
@@ -331,53 +272,41 @@ func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, l
 		if err != nil {
 			return err
 		}
-		if base != expect {
-			return fmt.Errorf("trace: chunk %d base %d, expected %d", chunk, base, expect)
+		if err := ir.checkChunk(chunk, base, n); err != nil {
+			return err
 		}
-		if uint64(n) != ir.chunks[chunk].events {
-			return fmt.Errorf("trace: chunk %d decoded %d events, index records %d",
-				chunk, n, ir.chunks[chunk].events)
-		}
-		expect += uint64(n)
 	}
 	return nil
 }
 
-// readFrame reads one chunk frame from br into *payloadBuf (grown as
-// needed and reused across calls). The terminator never appears
-// because Range sections end at the last frame boundary.
-func readFrame(br *bufio.Reader, payloadBuf *[]byte) (frame, error) {
-	rawLen, err := binary.ReadUvarint(br)
+// chunkFrame reads chunk c's frame at its indexed offset into *buf
+// (grown as needed and reused across calls) and validates it: the
+// frame must span exactly its index entry and match its CRC.
+func (ir *IndexedReader) chunkFrame(c int, buf *[]byte) (frame, error) {
+	off := ir.chunks[c].offset
+	flen := ir.rangeEnd(c+1) - off
+	if cap(*buf) < int(flen) {
+		*buf = make([]byte, flen)
+	}
+	b := (*buf)[:flen]
+	if _, err := ir.ra.ReadAt(b, off); err != nil {
+		return frame{}, fmt.Errorf("trace: chunk %d: read frame: %w", c, err)
+	}
+	f, err := parseFrameBytes(b)
 	if err != nil {
-		return frame{}, fmt.Errorf("read chunk length: %w", err)
+		return frame{}, fmt.Errorf("trace: chunk %d: %w", c, err)
 	}
-	if rawLen == 0 || rawLen > maxFrameBytes {
-		return frame{}, fmt.Errorf("bad chunk raw length %d", rawLen)
+	return f, nil
+}
+
+// checkChunk cross-checks a decoded chunk's base and event count
+// against the footer index.
+func (ir *IndexedReader) checkChunk(c int, base uint64, n int) error {
+	if base != ir.bases[c] {
+		return fmt.Errorf("trace: chunk %d base %d, expected %d", c, base, ir.bases[c])
 	}
-	kind, err := br.ReadByte()
-	if err != nil {
-		return frame{}, fmt.Errorf("read compression kind: %w", err)
+	if uint64(n) != ir.chunks[c].events {
+		return fmt.Errorf("trace: chunk %d decoded %d events, index records %d", c, n, ir.chunks[c].events)
 	}
-	compLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return frame{}, fmt.Errorf("read payload length: %w", err)
-	}
-	if compLen > maxFrameBytes {
-		return frame{}, fmt.Errorf("chunk payload length %d too large", compLen)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return frame{}, fmt.Errorf("read chunk crc: %w", err)
-	}
-	if cap(*payloadBuf) < int(compLen) {
-		*payloadBuf = make([]byte, compLen)
-	}
-	payload := (*payloadBuf)[:compLen]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return frame{}, fmt.Errorf("read chunk payload: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
-		return frame{}, fmt.Errorf("chunk checksum mismatch")
-	}
-	return frame{rawLen: int(rawLen), kind: kind, payload: payload}, nil
+	return nil
 }

@@ -2,10 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"strings"
 	"testing"
 )
@@ -29,21 +29,13 @@ func TestIndexedReaderRoundTrip(t *testing.T) {
 		t.Fatalf("Chunks=%d, want %d", ir.Chunks(), wantChunks)
 	}
 	// Full-file range reproduces the stream.
-	src := ir.Range(prog, 0, ir.Chunks())
-	got := drain(t, src)
-	src.Close()
-	checkEvents(t, got, evs)
+	ctx := context.Background()
+	checkColumns(t, ir.Columns(ctx, prog, 0, ir.Chunks(), 1), evs, prog)
 	// Disjoint sub-ranges cover the trace without overlap or gaps.
 	for _, split := range []int{1, 7, ir.Chunks() - 1} {
 		lo := ir.Base(split)
-		s1 := ir.Range(prog, 0, split)
-		s2 := ir.Range(prog, split, ir.Chunks())
-		g1 := drain(t, s1)
-		g2 := drain(t, s2)
-		s1.Close()
-		s2.Close()
-		checkEvents(t, g1, evs[:lo])
-		checkEvents(t, g2, evs[lo:])
+		checkColumns(t, ir.Columns(ctx, prog, 0, split, 1), evs[:lo], prog)
+		checkColumns(t, ir.Columns(ctx, prog, split, ir.Chunks(), 1), evs[lo:], prog)
 	}
 }
 
@@ -57,23 +49,14 @@ func TestIndexedReaderRejectsCorruptFooter(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		src := ir.Range(prog, 0, ir.Chunks())
-		defer src.Close()
-		total := uint64(0)
-		for {
-			evs, release, err := src.Next()
-			if err == io.EOF {
-				if total != ir.TotalEvents() {
-					t.Fatalf("drained %d events, index records %d", total, ir.TotalEvents())
-				}
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			total += uint64(len(evs))
-			release()
+		recs, err := readColumns(ir, prog, 0, ir.Chunks(), 1)
+		if err != nil {
+			return err
 		}
+		if uint64(len(recs)) != ir.TotalEvents() {
+			t.Fatalf("drained %d events, index records %d", len(recs), ir.TotalEvents())
+		}
+		return nil
 	}
 	if err := openAndDrain(data); err != nil {
 		t.Fatalf("pristine trace rejected: %v", err)
@@ -152,35 +135,12 @@ func TestChunkBoundaryGoldens(t *testing.T) {
 		if ir.Chunks() != tc.wantChunks {
 			t.Fatalf("n=%d chunk=%d: Chunks=%d, want %d", tc.n, tc.chunk, ir.Chunks(), tc.wantChunks)
 		}
-		isrc := ir.Range(prog, 0, ir.Chunks())
-		igot := drain(t, isrc)
-		isrc.Close()
-		checkEvents(t, igot, evs)
+		ctx := context.Background()
+		checkColumns(t, ir.Columns(ctx, prog, 0, ir.Chunks(), 1), evs, prog)
 		// The last chunk alone decodes to the stream's tail.
 		if tc.wantChunks > 0 {
-			last := ir.Range(prog, ir.Chunks()-1, ir.Chunks())
-			lgot := drain(t, last)
-			last.Close()
-			checkEvents(t, lgot, evs[ir.Base(ir.Chunks()-1):])
+			last := ir.Chunks() - 1
+			checkColumns(t, ir.Columns(ctx, prog, last, ir.Chunks(), 1), evs[ir.Base(last):], prog)
 		}
 	}
-}
-
-// TestSourceCloseMidStream: Close with chunks still undelivered must
-// make every later Next fail with ErrClosed — sticky — rather than read
-// through a released reader or recycled buffers.
-func TestSourceCloseMidStream(t *testing.T) {
-	data, _, prog := writeTestTrace(t, 5000, 64)
-	ir := openTest(t, data)
-	src := ir.Range(prog, 0, ir.Chunks())
-	if _, _, err := src.Next(); err != nil {
-		t.Fatalf("first Next: %v", err)
-	}
-	src.Close()
-	for i := 0; i < 3; i++ {
-		if _, _, err := src.Next(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Next after Close (call %d): err=%v, want ErrClosed", i, err)
-		}
-	}
-	src.Close() // double Close must be safe
 }

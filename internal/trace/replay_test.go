@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -57,9 +56,9 @@ func recordRun(t *testing.T, name string) (*isa.Program, string, []byte, uint64)
 }
 
 // TestReplayProfileGolden is the replay-fidelity golden test: a
-// characterization computed from a recorded trace — by feeding the
-// decoded event slabs to the live analysis, or through the
-// block-characterized column engine — renders byte-identical to one
+// characterization computed from a recorded trace through the
+// block-characterized column engine — on one worker, and with parallel
+// chunk decode and sharded lanes — renders byte-identical to one
 // computed live during simulation.
 func TestReplayProfileGolden(t *testing.T) {
 	ctx := context.Background()
@@ -72,40 +71,20 @@ func TestReplayProfileGolden(t *testing.T) {
 		if ir.Meta().Program != name {
 			t.Fatalf("%s: trace meta names %q", name, ir.Meta().Program)
 		}
-
-		// Event replay through the BatchObserver contract.
-		seq := loadchar.New(prog)
-		src := ir.Range(prog, 0, ir.Chunks())
-		var n uint64
-		for {
-			evs, release, err := src.Next()
-			if err == io.EOF {
-				break
-			}
+		if ir.TotalEvents() != insts {
+			t.Fatalf("%s: trace holds %d events, want %d", name, ir.TotalEvents(), insts)
+		}
+		for _, w := range [][2]int{{1, 1}, {2, 4}} {
+			cols := ir.Columns(ctx, prog, 0, ir.Chunks(), w[0])
+			runs, err := loadchar.AnalyzeRuns(ctx, prog, cols, w[1])
+			cols.Close()
 			if err != nil {
-				t.Fatalf("%s: replay: %v", name, err)
+				t.Fatalf("%s: column replay: %v", name, err)
 			}
-			seq.ObserveBatch(evs)
-			n += uint64(len(evs))
-			release()
-		}
-		src.Close()
-		if n != insts {
-			t.Fatalf("%s: replayed %d events, want %d", name, n, insts)
-		}
-		if got := loadchar.RenderProfile(name, "test", seq, 10); got != want {
-			t.Errorf("%s: event replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
-		}
-
-		// Column replay with parallel chunk decode and sharded lanes.
-		cols := ir.Columns(ctx, prog, 0, ir.Chunks(), 2)
-		runs, err := loadchar.AnalyzeRuns(ctx, prog, cols, 4)
-		cols.Close()
-		if err != nil {
-			t.Fatalf("%s: column replay: %v", name, err)
-		}
-		if got := loadchar.RenderProfile(name, "test", runs, 10); got != want {
-			t.Errorf("%s: column replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
+			if got := loadchar.RenderProfile(name, "test", runs, 10); got != want {
+				t.Errorf("%s: column replay (decode %d, lanes %d) differs from live:\n--- live ---\n%s\n--- replay ---\n%s",
+					name, w[0], w[1], want, got)
+			}
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -29,10 +27,10 @@ func scanPCs(ctx context.Context, ir *IndexedReader, prog *isa.Program, lo, hi i
 	return pcs, err
 }
 
-// TestScanPCRunsMatchesRange pins the token-only scan to the full
-// decoder: expanding the PC runs ScanRunTokens reports must reproduce,
-// event for event, the PC sequence Range decodes — over the whole file
-// and over sub-ranges that start and end mid-stream.
+// TestScanPCRunsMatchesRange pins the token-only scan to the recorded
+// stream: expanding the PC runs ScanRunTokens reports over a chunk
+// range must reproduce, event for event, the PCs recorded there — over
+// the whole file and over sub-ranges that start and end mid-stream.
 func TestScanPCRunsMatchesRange(t *testing.T) {
 	const n, chunk = 10000, 256
 	data, evs, prog := writeTestTrace(t, n, chunk)
@@ -113,12 +111,10 @@ func TestWriterEmitsSplitFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var payloadBuf []byte
+	var frameBuf []byte
 	split := 0
 	for chunk := 0; chunk < ir.Chunks(); chunk++ {
-		start := ir.chunks[chunk].offset
-		br := bufio.NewReader(io.NewSectionReader(ir.ra, start, ir.rangeEnd(chunk+1)-start))
-		f, err := readFrame(br, &payloadBuf)
+		f, err := ir.chunkFrame(chunk, &frameBuf)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}

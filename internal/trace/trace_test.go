@@ -3,11 +3,13 @@ package trace
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -103,19 +105,82 @@ func testEventStream(n int, prog *isa.Program) []sim.Event {
 	return evs
 }
 
-func drain(t *testing.T, src *Source) []sim.Event {
-	t.Helper()
-	var all []sim.Event
+// expandChunk appends the per-event records a column chunk stands for
+// to dst — the test-side inverse of the column decoder: the tokens
+// give the PCs, conditional branches read the taken bitmap,
+// unconditional branches are taken, and memory events consume the
+// address column in order. The column form carries no targets, so
+// Target stays zero.
+func expandChunk(dst []Record, ch *runstream.Chunk, prog *isa.Program) ([]Record, error) {
+	n0, br, mem := len(dst), 0, 0
+	for _, tok := range ch.Tokens {
+		run := ch.Dict.Runs[tok.ID]
+		for rep := int32(0); rep < tok.Rep; rep++ {
+			for pc := run.PC; pc < run.PC+run.N; pc++ {
+				r := Record{PC: pc}
+				switch isa.ClassOf(prog.Insts[pc].Op) {
+				case isa.ClassCondBranch:
+					if br>>3 >= len(ch.BrTaken) {
+						return dst, fmt.Errorf("chunk at %d: taken bitmap too short", ch.Base)
+					}
+					r.Taken = ch.BrTaken[br>>3]&(1<<(br&7)) != 0
+					br++
+				case isa.ClassUncondBranch:
+					r.Taken = true
+				case isa.ClassLoad, isa.ClassStore:
+					if mem >= len(ch.Addrs) {
+						return dst, fmt.Errorf("chunk at %d: address column too short", ch.Base)
+					}
+					r.Addr = ch.Addrs[mem]
+					mem++
+				}
+				dst = append(dst, r)
+			}
+		}
+	}
+	if got := len(dst) - n0; got != ch.N {
+		return dst, fmt.Errorf("chunk at %d: tokens cover %d events, header says %d", ch.Base, got, ch.N)
+	}
+	if mem != len(ch.Addrs) || (br+7)/8 != len(ch.BrTaken) {
+		return dst, fmt.Errorf("chunk at %d: %d addrs and %d bitmap bytes for %d memory events and %d branches",
+			ch.Base, len(ch.Addrs), len(ch.BrTaken), mem, br)
+	}
+	return dst, nil
+}
+
+// readColumns decodes chunks [lo, hi) through the column pool and
+// expands them to records.
+func readColumns(ir *IndexedReader, prog *isa.Program, lo, hi, workers int) ([]Record, error) {
+	src := ir.Columns(context.Background(), prog, lo, hi, workers)
+	defer src.Close()
+	var recs []Record
 	for {
-		evs, release, err := src.Next()
+		ch, release, err := src.Next()
 		if err == io.EOF {
-			return all
+			return recs, nil
 		}
 		if err != nil {
-			t.Fatalf("source: %v", err)
+			return nil, err
 		}
-		all = append(all, evs...)
+		recs, err = expandChunk(recs, ch, prog)
 		release()
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// checkRecords compares expanded records with the recorded events on
+// everything the column form carries: PC, taken and address.
+func checkRecords(t *testing.T, got []Record, want []sim.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; g.PC != w.PC || g.Taken != w.Taken || g.Addr != w.Addr {
+			t.Fatalf("event %d: got pc %d taken %v addr %#x, want %+v", i, g.PC, g.Taken, g.Addr, w)
+		}
 	}
 }
 
@@ -148,10 +213,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		if ir.Meta().Program != "synthetic" || ir.Meta().Size != "test" {
 			t.Fatalf("n=%d: meta %+v", n, ir.Meta())
 		}
-		src := ir.Range(prog, 0, ir.Chunks())
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), 1), evs, prog)
 		if ir.TotalEvents() != uint64(n) {
 			t.Fatalf("n=%d: TotalEvents=%d", n, ir.TotalEvents())
 		}
@@ -191,18 +253,8 @@ func replayAll(data []byte, prog *isa.Program) error {
 	if err != nil {
 		return err
 	}
-	src := ir.Range(prog, 0, ir.Chunks())
-	defer src.Close()
-	for {
-		_, release, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		release()
-	}
+	_, err = readColumns(ir, prog, 0, ir.Chunks(), 1)
+	return err
 }
 
 func TestTruncatedTraceRejected(t *testing.T) {
