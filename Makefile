@@ -3,8 +3,9 @@ GO ?= go
 .PHONY: check fmt-check vet build test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench bench-service bench-trace bench-replay-scaling validate-timing sweep-smoke sample-smoke bench-sampling perfbench-check
 
 # check is the full gate: formatting, static analysis, build, the
-# race-enabled test suite, and an end-to-end experiments smoke run.
-check: fmt-check vet build race smoke
+# race-enabled test suite, an end-to-end experiments smoke run, and the
+# separately-moduled repository benchmark's vet and tests.
+check: fmt-check vet build race smoke perfbench-check
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

@@ -30,6 +30,7 @@ import (
 	"runtime"
 
 	"bioperfload"
+	"bioperfload/internal/bio"
 	"bioperfload/internal/runner"
 )
 
@@ -78,16 +79,9 @@ func main() {
 		return
 	}
 
-	var sz bioperfload.Size
-	switch *sizeFlag {
-	case "test":
-		sz = bioperfload.SizeTest
-	case "classB", "b", "B":
-		sz = bioperfload.SizeB
-	case "classC", "c", "C":
-		sz = bioperfload.SizeC
-	default:
-		log.Fatalf("unknown size %q", *sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	p, err := bioperfload.Program(*name)

@@ -52,7 +52,7 @@ func cmdPhases(args []string, stderr io.Writer) int {
 	if *jobs == 0 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
-	sz, err := parseSize(*sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf phases: -size: %v\n", err)
 		return 2
@@ -174,7 +174,7 @@ func cmdBenchSampling(args []string, stderr io.Writer) int {
 	}
 	var sizes []bio.Size
 	for _, s := range strings.Split(*sizesFlag, ",") {
-		sz, err := parseSize(strings.TrimSpace(s))
+		sz, err := bio.ParseSize(strings.TrimSpace(s))
 		if err != nil {
 			fmt.Fprintf(stderr, "bioperf bench-sampling: -sizes: %v\n", err)
 			return 2

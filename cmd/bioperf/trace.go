@@ -21,18 +21,6 @@ import (
 	"bioperfload/internal/trace"
 )
 
-func parseSize(s string) (bio.Size, error) {
-	switch s {
-	case "test":
-		return bio.SizeTest, nil
-	case "classB", "b", "B":
-		return bio.SizeB, nil
-	case "classC", "c", "C":
-		return bio.SizeC, nil
-	}
-	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
-}
-
 // record simulates p at sz with a trace writer attached and returns
 // the validated result. The trace is written to w and is only complete
 // (footer present) if record returns nil error.
@@ -87,7 +75,7 @@ func cmdTrace(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bioperf trace: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	sz, err := parseSize(*sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf trace: -size: %v\n", err)
 		return 2
@@ -378,7 +366,7 @@ func cmdBenchTrace(args []string, stderr io.Writer) int {
 	if *jobs == 0 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
-	sz, err := parseSize(*sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf bench-trace: -size: %v\n", err)
 		return 2

@@ -9,6 +9,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"bioperfload/internal/bio"
 	"bioperfload/internal/runner"
 	"bioperfload/internal/scoreboard/validate"
 )
@@ -31,7 +32,7 @@ func cmdValidateTiming(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "validate-timing: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	sz, err := parseSize(*sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "validate-timing: -size: %v\n", err)
 		return 2

@@ -38,18 +38,6 @@ import (
 	"bioperfload/internal/runner"
 )
 
-func parseSize(s string) (bio.Size, error) {
-	switch s {
-	case "test":
-		return bio.SizeTest, nil
-	case "classB", "b", "B":
-		return bio.SizeB, nil
-	case "classC", "c", "C":
-		return bio.SizeC, nil
-	}
-	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
-}
-
 // onlyNames are the -only selector values, in output order.
 var onlyNames = []string{
 	"fig1", "tab1", "fig2", "tab2", "tab4", "tab5", "tab6", "tab7",
@@ -98,10 +86,10 @@ func parseArgs(args []string, stderr io.Writer) (*config, error) {
 		jobs: *jobs, benchJSON: *benchJSON, benchSamples: *benchSamples,
 	}
 	var err error
-	if cfg.size, err = parseSize(*sizeFlag); err != nil {
+	if cfg.size, err = bio.ParseSize(*sizeFlag); err != nil {
 		return nil, fmt.Errorf("-size: %w", err)
 	}
-	if cfg.timing, err = parseSize(*timingFlag); err != nil {
+	if cfg.timing, err = bio.ParseSize(*timingFlag); err != nil {
 		return nil, fmt.Errorf("-timing: %w", err)
 	}
 	if cfg.fidelity, err = pipeline.ParseFidelity(*fidelity); err != nil {

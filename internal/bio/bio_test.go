@@ -37,3 +37,23 @@ func TestProgramsValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestParseSize: every size parses back from its String form, the
+// short forms are accepted, and anything else is an error.
+func TestParseSize(t *testing.T) {
+	for _, sz := range []Size{SizeTest, SizeB, SizeC} {
+		if got, err := ParseSize(sz.String()); err != nil || got != sz {
+			t.Errorf("ParseSize(%q) = %v, %v", sz.String(), got, err)
+		}
+	}
+	for in, want := range map[string]Size{"b": SizeB, "B": SizeB, "c": SizeC, "C": SizeC} {
+		if got, err := ParseSize(in); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "classA", "Test"} {
+		if _, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) accepted", in)
+		}
+	}
+}

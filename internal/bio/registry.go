@@ -46,6 +46,20 @@ func (s Size) String() string {
 	}
 }
 
+// ParseSize parses a size name as printed by String; "b"/"B" and
+// "c"/"C" are accepted as short forms.
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "test":
+		return SizeTest, nil
+	case "classB", "b", "B":
+		return SizeB, nil
+	case "classC", "c", "C":
+		return SizeC, nil
+	}
+	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
+}
+
 // Binder receives a program's input dataset. Both the functional
 // simulator's machine and the MiniC AST interpreter implement it, so
 // the same Bind function can feed either execution engine.

@@ -5,6 +5,10 @@
 // local history predictor and a global gshare predictor arbitrated by
 // a per-branch choice counter. Bimodal and static predictors are
 // provided as baselines for ablation studies.
+//
+// Per-branch state is indexed by PC: PCs are static instruction
+// indices, so a dense slice holds one entry per static branch with no
+// aliasing and no hashing.
 package bpred
 
 // Predictor predicts conditional branch outcomes and learns from the
@@ -12,49 +16,51 @@ package bpred
 // branch (unique per static branch, which realizes the paper's
 // no-aliasing requirement for per-branch state).
 type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc int32) bool
-	// Update trains the predictor with the actual direction.
-	Update(pc int32, taken bool)
+	// Observe predicts the branch at pc, trains on the actual
+	// direction, and reports whether the prediction was wrong.
+	Observe(pc int32, taken bool) (mispredicted bool)
 	// Name identifies the predictor in reports.
 	Name() string
 }
 
-// counter is a saturating 2-bit counter: 0,1 predict not-taken; 2,3
-// predict taken.
-type counter uint8
-
-func (c counter) taken() bool { return c >= 2 }
-
-func (c counter) inc() counter {
-	if c < 3 {
-		return c + 1
+// train advances a saturating 2-bit counter: 0,1 predict not-taken;
+// 2,3 predict taken.
+func train(c uint8, taken bool) uint8 {
+	if taken {
+		if c < 3 {
+			return c + 1
+		}
+		return c
 	}
-	return c
-}
-
-func (c counter) dec() counter {
 	if c > 0 {
 		return c - 1
 	}
 	return c
 }
 
-func (c counter) train(taken bool) counter {
-	if taken {
-		return c.inc()
+// grow returns s extended, with amortized headroom, so that index i is
+// valid. New entries are zero.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
 	}
-	return c.dec()
+	g := make([]T, i+i/2+16)
+	copy(g, s)
+	return g
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Static predicts a fixed direction (ablation baseline).
 type Static struct{ Taken bool }
 
-// Predict implements Predictor.
-func (s *Static) Predict(int32) bool { return s.Taken }
-
-// Update implements Predictor.
-func (s *Static) Update(int32, bool) {}
+// Observe implements Predictor.
+func (s *Static) Observe(_ int32, taken bool) bool { return taken != s.Taken }
 
 // Name implements Predictor.
 func (s *Static) Name() string {
@@ -64,247 +70,120 @@ func (s *Static) Name() string {
 	return "always-not-taken"
 }
 
-// Bimodal keeps one 2-bit counter per static branch.
+// Bimodal keeps one 2-bit counter per static branch. Unseen branches
+// start weakly taken, matching the usual backward-taken loop
+// assumption.
 type Bimodal struct {
-	table map[int32]counter
+	table []uint8
 }
 
 // NewBimodal returns an empty bimodal predictor.
-func NewBimodal() *Bimodal { return &Bimodal{table: make(map[int32]counter)} }
+func NewBimodal() *Bimodal { return &Bimodal{} }
 
-// Predict implements Predictor. Unseen branches predict taken,
-// matching the usual backward-taken loop assumption well enough for a
-// cold counter initialized weakly taken.
-func (b *Bimodal) Predict(pc int32) bool {
-	c, ok := b.table[pc]
-	if !ok {
-		return true
+// Observe implements Predictor.
+func (b *Bimodal) Observe(pc int32, taken bool) bool {
+	if i := int(pc); i >= len(b.table) {
+		n := len(b.table)
+		b.table = grow(b.table, i)
+		for j := n; j < len(b.table); j++ {
+			b.table[j] = 2 // weakly taken
+		}
 	}
-	return c.taken()
-}
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc int32, taken bool) {
-	c, ok := b.table[pc]
-	if !ok {
-		c = 2 // weakly taken
-	}
-	b.table[pc] = c.train(taken)
+	c := b.table[pc]
+	b.table[pc] = train(c, taken)
+	return (c >= 2) != taken
 }
 
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
 
+// The paper geometry, a 21264-like tournament predictor: 10-bit local
+// histories, each indexing a private pattern table, and a 12-bit
+// global history indexing the gshare table.
+const (
+	localHistoryBits  = 10
+	globalHistoryBits = 12
+	lmask             = 1<<localHistoryBits - 1
+	gmask             = 1<<globalHistoryBits - 1
+)
+
 // Hybrid is the paper's measurement predictor: per-static-branch
 // local predictor (local history indexing a private pattern table),
 // a shared gshare global predictor, and a per-branch choice counter.
+//
+// Hybrid can also be sharded exactly by branch PC. An observation
+// touches two kinds of state: per-static-branch state (local history,
+// pattern table, choice counter), read and written only by that
+// branch's PC, and global state (the gshare table and the global
+// history register), advanced by every conditional branch in commit
+// order. A shard that sees ALL conditional branches in order — calling
+// Observe for the PCs it owns and TrainGlobal for the rest — evolves
+// the global state exactly as the serial predictor does, so its owned
+// branches predict and train identically to a single serial Hybrid.
+// Trackers over shards with disjoint PC sets, merged with MergeInto,
+// therefore reproduce the serial Tracker byte-for-byte.
 type Hybrid struct {
-	localBits  uint // local history length
-	globalBits uint // global history length / gshare table log2 size
-
-	locals map[int32]*localEntry
-	ghist  uint64
-	gshare []counter
-	gmask  uint64
+	ghist    uint64
+	gshare   []uint8
+	branches []localBranch
 }
 
-type localEntry struct {
+// localBranch is one static branch's local predictor. A nil pattern
+// marks a branch never executed.
+type localBranch struct {
 	hist    uint64
-	mask    uint64
-	pattern []counter
-	choice  counter // 0,1 favor global; 2,3 favor local
+	pattern []uint8
+	choice  uint8 // 0,1 favor global; 2,3 favor local
 }
 
-// HybridConfig sizes the hybrid predictor.
-type HybridConfig struct {
-	LocalHistoryBits  uint // per-branch pattern table has 2^bits counters
-	GlobalHistoryBits uint // gshare table has 2^bits counters
+// NewHybrid returns the hybrid predictor in the paper geometry.
+func NewHybrid() *Hybrid {
+	return &Hybrid{gshare: make([]uint8, gmask+1)}
 }
 
-// DefaultHybridConfig mirrors a 21264-like tournament predictor
-// (10-bit local histories, 12-bit global history).
-func DefaultHybridConfig() HybridConfig {
-	return HybridConfig{LocalHistoryBits: 10, GlobalHistoryBits: 12}
-}
-
-// NewHybrid builds the hybrid predictor.
-func NewHybrid(cfg HybridConfig) *Hybrid {
-	if cfg.LocalHistoryBits == 0 || cfg.LocalHistoryBits > 16 {
-		cfg.LocalHistoryBits = 10
-	}
-	if cfg.GlobalHistoryBits == 0 || cfg.GlobalHistoryBits > 24 {
-		cfg.GlobalHistoryBits = 12
-	}
-	return &Hybrid{
-		localBits:  cfg.LocalHistoryBits,
-		globalBits: cfg.GlobalHistoryBits,
-		locals:     make(map[int32]*localEntry),
-		gshare:     make([]counter, 1<<cfg.GlobalHistoryBits),
-		gmask:      (1 << cfg.GlobalHistoryBits) - 1,
-	}
-}
-
-// NewPaperHybrid returns the predictor configuration used for all the
-// paper-reproduction measurements.
-func NewPaperHybrid() *Hybrid { return NewHybrid(DefaultHybridConfig()) }
-
-func (h *Hybrid) entry(pc int32) *localEntry {
-	e := h.locals[pc]
-	if e == nil {
-		e = &localEntry{
-			mask:    (1 << h.localBits) - 1,
-			pattern: make([]counter, 1<<h.localBits),
-			choice:  2, // weakly favor local
+// Observe implements Predictor: predict, train both components and
+// the choice counter, and advance both histories.
+func (h *Hybrid) Observe(pc int32, taken bool) bool {
+	h.branches = grow(h.branches, int(pc))
+	b := &h.branches[pc]
+	if b.pattern == nil {
+		b.pattern = make([]uint8, lmask+1)
+		for j := range b.pattern {
+			b.pattern[j] = 2 // weakly taken
 		}
-		for i := range e.pattern {
-			e.pattern[i] = 2 // weakly taken
-		}
-		h.locals[pc] = e
+		b.choice = 2 // weakly favor local
 	}
-	return e
-}
-
-func (h *Hybrid) gidx(pc int32) uint64 {
-	return (uint64(uint32(pc)) ^ h.ghist) & h.gmask
-}
-
-// Predict implements Predictor.
-func (h *Hybrid) Predict(pc int32) bool {
-	e := h.entry(pc)
-	localPred := e.pattern[e.hist&e.mask].taken()
-	globalPred := h.gshare[h.gidx(pc)].taken()
-	if e.choice.taken() {
-		return localPred
+	li := b.hist & lmask
+	gi := (uint64(uint32(pc)) ^ h.ghist) & gmask
+	localPred := b.pattern[li] >= 2
+	globalPred := h.gshare[gi] >= 2
+	pred := globalPred
+	if b.choice >= 2 {
+		pred = localPred
 	}
-	return globalPred
-}
-
-// Update implements Predictor.
-func (h *Hybrid) Update(pc int32, taken bool) {
-	e := h.entry(pc)
-	li := e.hist & e.mask
-	gi := h.gidx(pc)
-	localPred := e.pattern[li].taken()
-	globalPred := h.gshare[gi].taken()
 
 	// Train the choice counter toward whichever component was right
 	// when they disagree.
 	if localPred != globalPred {
-		e.choice = e.choice.train(localPred == taken)
+		b.choice = train(b.choice, localPred == taken)
 	}
-	e.pattern[li] = e.pattern[li].train(taken)
-	h.gshare[gi] = h.gshare[gi].train(taken)
+	b.pattern[li] = train(b.pattern[li], taken)
+	h.gshare[gi] = train(h.gshare[gi], taken)
 
-	e.hist = (e.hist << 1) | b2u(taken)
+	b.hist = (b.hist << 1) | b2u(taken)
+	h.ghist = (h.ghist << 1) | b2u(taken)
+	return pred != taken
+}
+
+// TrainGlobal processes a conditional branch owned by another shard:
+// only the global component advances — gshare trains at the index the
+// serial predictor would use, and the history register shifts. The
+// branch's local state lives in its owning shard.
+func (h *Hybrid) TrainGlobal(pc int32, taken bool) {
+	gi := (uint64(uint32(pc)) ^ h.ghist) & gmask
+	h.gshare[gi] = train(h.gshare[gi], taken)
 	h.ghist = (h.ghist << 1) | b2u(taken)
 }
 
 // Name implements Predictor.
 func (h *Hybrid) Name() string { return "hybrid" }
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// BranchStats tracks per-static-branch prediction accuracy.
-type BranchStats struct {
-	Executed    uint64
-	Mispredicts uint64
-	Taken       uint64
-}
-
-// MispredictRate returns mispredictions over executions.
-func (s BranchStats) MispredictRate() float64 {
-	if s.Executed == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Executed)
-}
-
-// Tracker wraps a predictor and records per-branch statistics. It is
-// the measurement harness used by the Table 4 analyses: feed it each
-// committed conditional branch, then query per-branch or aggregate
-// misprediction rates.
-type Tracker struct {
-	pred  Predictor
-	perPC map[int32]*BranchStats
-	total BranchStats
-}
-
-// NewTracker wraps pred.
-func NewTracker(pred Predictor) *Tracker {
-	return &Tracker{pred: pred, perPC: make(map[int32]*BranchStats)}
-}
-
-// RestoreTracker rebuilds a report-only Tracker from persisted
-// per-branch statistics. The predictor state itself is not restored,
-// so Observe must not be called on the result; the query methods
-// (Stats, Total, PerBranch, HardToPredict) behave as on the original.
-func RestoreTracker(per map[int32]BranchStats, total BranchStats) *Tracker {
-	t := &Tracker{perPC: make(map[int32]*BranchStats, len(per)), total: total}
-	for pc, s := range per {
-		c := s
-		t.perPC[pc] = &c
-	}
-	return t
-}
-
-// Observe predicts, compares with the actual direction, trains, and
-// records statistics. It returns true when the branch was mispredicted.
-func (t *Tracker) Observe(pc int32, taken bool) bool {
-	pred := t.pred.Predict(pc)
-	t.pred.Update(pc, taken)
-	s := t.perPC[pc]
-	if s == nil {
-		s = &BranchStats{}
-		t.perPC[pc] = s
-	}
-	s.Executed++
-	t.total.Executed++
-	if taken {
-		s.Taken++
-		t.total.Taken++
-	}
-	if pred != taken {
-		s.Mispredicts++
-		t.total.Mispredicts++
-		return true
-	}
-	return false
-}
-
-// Stats returns statistics for one static branch.
-func (t *Tracker) Stats(pc int32) BranchStats {
-	if s := t.perPC[pc]; s != nil {
-		return *s
-	}
-	return BranchStats{}
-}
-
-// Total returns aggregate statistics.
-func (t *Tracker) Total() BranchStats { return t.total }
-
-// PerBranch returns a copy of the per-branch table.
-func (t *Tracker) PerBranch() map[int32]BranchStats {
-	out := make(map[int32]BranchStats, len(t.perPC))
-	for pc, s := range t.perPC {
-		out[pc] = *s
-	}
-	return out
-}
-
-// HardToPredict reports the static branches whose misprediction rate
-// is at least threshold (the paper's Table 4(b) uses 5%) and that
-// executed at least minExec times (to suppress cold noise).
-func (t *Tracker) HardToPredict(threshold float64, minExec uint64) map[int32]bool {
-	out := make(map[int32]bool)
-	for pc, s := range t.perPC {
-		if s.Executed >= minExec && s.MispredictRate() >= threshold {
-			out[pc] = true
-		}
-	}
-	return out
-}

@@ -6,24 +6,25 @@ import (
 )
 
 func TestCounterSaturation(t *testing.T) {
-	c := counter(0)
-	if c.dec() != 0 {
+	if train(0, false) != 0 {
 		t.Error("dec below 0")
 	}
-	c = 3
-	if c.inc() != 3 {
+	if train(3, true) != 3 {
 		t.Error("inc above 3")
 	}
-	if !counter(2).taken() || counter(1).taken() {
-		t.Error("threshold wrong")
+	if train(1, true) != 2 || train(2, false) != 1 {
+		t.Error("step wrong")
 	}
 }
 
 func TestStatic(t *testing.T) {
 	at := &Static{Taken: true}
 	ant := &Static{Taken: false}
-	if !at.Predict(1) || ant.Predict(1) {
-		t.Error("static predictions wrong")
+	if at.Observe(1, true) || !at.Observe(1, false) {
+		t.Error("always-taken predictions wrong")
+	}
+	if ant.Observe(1, false) || !ant.Observe(1, true) {
+		t.Error("always-not-taken predictions wrong")
 	}
 	if at.Name() != "always-taken" || ant.Name() != "always-not-taken" {
 		t.Error("names wrong")
@@ -33,19 +34,19 @@ func TestStatic(t *testing.T) {
 func TestBimodalLearnsBias(t *testing.T) {
 	b := NewBimodal()
 	for i := 0; i < 10; i++ {
-		b.Update(7, false)
+		b.Observe(7, false)
 	}
-	if b.Predict(7) {
+	if b.Observe(7, false) {
 		t.Error("bimodal did not learn not-taken bias")
 	}
 	for i := 0; i < 10; i++ {
-		b.Update(7, true)
+		b.Observe(7, true)
 	}
-	if !b.Predict(7) {
+	if b.Observe(7, true) {
 		t.Error("bimodal did not relearn taken bias")
 	}
 	// Other branches unaffected.
-	if !b.Predict(8) {
+	if b.Observe(8, true) {
 		t.Error("cold branch should default taken")
 	}
 }
@@ -53,7 +54,7 @@ func TestBimodalLearnsBias(t *testing.T) {
 func TestHybridLearnsLoopPattern(t *testing.T) {
 	// A loop branch taken 7 times then not taken, repeating. Local
 	// history must learn the exit perfectly after warmup.
-	h := NewPaperHybrid()
+	h := NewHybrid()
 	tr := NewTracker(h)
 	warm := 40
 	var missesAfterWarmup uint64
@@ -74,7 +75,7 @@ func TestHybridLearnsLoopPattern(t *testing.T) {
 }
 
 func TestHybridBiasedBranch(t *testing.T) {
-	h := NewPaperHybrid()
+	h := NewHybrid()
 	tr := NewTracker(h)
 	for i := 0; i < 1000; i++ {
 		tr.Observe(5, true)
@@ -85,7 +86,7 @@ func TestHybridBiasedBranch(t *testing.T) {
 }
 
 func TestHybridRandomBranchIsHard(t *testing.T) {
-	h := NewPaperHybrid()
+	h := NewHybrid()
 	tr := NewTracker(h)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
@@ -100,7 +101,7 @@ func TestHybridRandomBranchIsHard(t *testing.T) {
 func TestHybridNoAliasing(t *testing.T) {
 	// Two branches with opposite fixed behaviour must not disturb
 	// each other (per-static-branch state, the paper's requirement).
-	h := NewPaperHybrid()
+	h := NewHybrid()
 	tr := NewTracker(h)
 	for i := 0; i < 2000; i++ {
 		tr.Observe(100, true)
@@ -117,7 +118,7 @@ func TestHybridNoAliasing(t *testing.T) {
 func TestHybridCorrelatedBranches(t *testing.T) {
 	// Branch B always goes the same way as branch A did: global
 	// history must capture it even though B looks random locally.
-	h := NewPaperHybrid()
+	h := NewHybrid()
 	tr := NewTracker(h)
 	rng := rand.New(rand.NewSource(7))
 	var mis uint64
@@ -154,7 +155,7 @@ func TestTrackerAccounting(t *testing.T) {
 }
 
 func TestHardToPredict(t *testing.T) {
-	tr := NewTracker(NewPaperHybrid())
+	tr := NewTracker(NewHybrid())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		tr.Observe(1, true)             // easy
@@ -181,22 +182,8 @@ func TestMispredictRateZeroExec(t *testing.T) {
 	}
 }
 
-func TestHybridConfigClamping(t *testing.T) {
-	h := NewHybrid(HybridConfig{LocalHistoryBits: 0, GlobalHistoryBits: 99})
-	// Should fall back to defaults without panicking, and work.
-	for i := 0; i < 100; i++ {
-		h.Update(1, true)
-	}
-	if !h.Predict(1) {
-		t.Error("clamped hybrid broken")
-	}
-	if h.Name() != "hybrid" {
-		t.Error("name wrong")
-	}
-}
-
 func BenchmarkHybridObserve(b *testing.B) {
-	tr := NewTracker(NewPaperHybrid())
+	tr := NewTracker(NewHybrid())
 	rng := rand.New(rand.NewSource(1))
 	pcs := make([]int32, 64)
 	for i := range pcs {

@@ -163,7 +163,7 @@ func AblatePredictor(ctx context.Context, s *runner.Session, progName string, sz
 		name string
 		mk   func() bpred.Predictor
 	}{
-		{"hybrid", func() bpred.Predictor { return bpred.NewPaperHybrid() }},
+		{"hybrid", func() bpred.Predictor { return bpred.NewHybrid() }},
 		{"bimodal", func() bpred.Predictor { return bpred.NewBimodal() }},
 		{"always-taken", func() bpred.Predictor { return &bpred.Static{Taken: true} }},
 	}

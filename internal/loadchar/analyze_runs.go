@@ -44,14 +44,16 @@ const (
 // static branch PCs (pc mod nShards == mine), joining mispredict
 // outcomes with the run lane's fed flags.
 type bpLane struct {
-	sh      *bpred.DenseShard
+	pred    *bpred.Hybrid
+	tr      *bpred.Tracker // over pred, counting owned branches only
 	nShards int
 	mine    int
 	fedMiss uint64
 }
 
 func newBpLane(nShards, mine int) *bpLane {
-	return &bpLane{sh: bpred.NewPaperDenseShard(), nShards: nShards, mine: mine}
+	pred := bpred.NewHybrid()
+	return &bpLane{pred: pred, tr: bpred.NewTracker(pred), nShards: nShards, mine: mine}
 }
 
 func (l *bpLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
@@ -65,11 +67,11 @@ func (l *bpLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
 				pc := tk.ri.pc + off
 				taken := ch.BrTaken[br>>3]&(1<<(br&7)) != 0
 				if l.nShards == 1 || int(pc)%l.nShards == l.mine {
-					if l.sh.Observe(pc, taken) && ann.fedAt(br) {
+					if l.tr.Observe(pc, taken) && ann.fedAt(br) {
 						l.fedMiss++
 					}
 				} else {
-					l.sh.TrainGlobal(pc, taken)
+					l.pred.TrainGlobal(pc, taken)
 				}
 				br++
 			}
@@ -142,9 +144,9 @@ type bundle struct {
 // golden tests; the analysis is report-only (restored), like one
 // rebuilt from a Snapshot.
 //
-// The configuration is pinned to the paper's (cache.PaperConfig,
-// bpred.NewPaperHybrid): the shard lanes' exactness proofs are tied to
-// that geometry, and it is the only configuration replay serves.
+// The configuration is the paper's (cache.PaperConfig, bpred.NewHybrid),
+// the one New uses: the shard lanes' exactness proofs are tied to that
+// geometry.
 func AnalyzeRuns(ctx context.Context, prog *isa.Program, src runstream.Source, workers int) (*Analysis, error) {
 	eng := newRunEngine(prog)
 	hcfg := cache.PaperConfig()
@@ -271,13 +273,11 @@ func assembleAnalysis(prog *isa.Program, hcfg cache.HierarchyConfig, eng *runEng
 	a.seq.init()
 	eng.finish(a)
 
-	per := make(map[int32]bpred.BranchStats)
-	var totalB bpred.BranchStats
+	a.bp.bp = bpred.NewTracker(nil)
 	for _, l := range bps {
-		l.sh.MergeInto(per, &totalB)
+		l.tr.MergeInto(a.bp.bp)
 		a.dep.fedBranchMiss += l.fedMiss
 	}
-	a.bp.bp = bpred.RestoreTracker(per, totalB)
 
 	if len(mems) == 1 {
 		// A single lane already holds the whole run's stats; reuse it

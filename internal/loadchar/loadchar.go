@@ -19,7 +19,6 @@
 package loadchar
 
 import (
-	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
@@ -71,16 +70,10 @@ type Analysis struct {
 // New creates an analysis for the given program, using the paper's
 // cache configuration and hybrid predictor.
 func New(p *isa.Program) *Analysis {
-	return NewWithConfig(p, cache.PaperConfig(), bpred.NewPaperHybrid())
-}
-
-// NewWithConfig creates an analysis with explicit cache and predictor
-// configurations (for ablations).
-func NewWithConfig(p *isa.Program, hc cache.HierarchyConfig, pred bpred.Predictor) *Analysis {
 	a := &Analysis{prog: p}
 	a.mix.init(len(p.Insts))
-	a.cache.init(hc, len(p.Insts))
-	a.bp.init(pred)
+	a.cache.init(cache.PaperConfig(), len(p.Insts))
+	a.bp.init()
 	a.dep.init(len(p.Insts))
 	a.seq.init()
 	return a

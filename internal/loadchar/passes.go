@@ -103,7 +103,7 @@ type bpredPass struct {
 	bp *bpred.Tracker
 }
 
-func (p *bpredPass) init(pred bpred.Predictor) { p.bp = bpred.NewTracker(pred) }
+func (p *bpredPass) init() { p.bp = bpred.NewTracker(bpred.NewHybrid()) }
 
 // observe runs the predictor over the slab, appending one mispredict
 // bit per conditional branch to bits for the dependence pass.

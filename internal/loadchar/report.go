@@ -3,6 +3,7 @@ package loadchar
 import (
 	"sort"
 
+	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 )
@@ -253,19 +254,4 @@ func (a *Analysis) Candidates(minFreq, minMispred, maxMiss float64) []Candidate 
 }
 
 // Branches exposes the underlying per-branch statistics.
-func (a *Analysis) Branches() map[int32]struct {
-	Executed    uint64
-	Mispredicts uint64
-} {
-	out := make(map[int32]struct {
-		Executed    uint64
-		Mispredicts uint64
-	})
-	for pc, s := range a.bp.bp.PerBranch() {
-		out[pc] = struct {
-			Executed    uint64
-			Mispredicts uint64
-		}{s.Executed, s.Mispredicts}
-	}
-	return out
-}
+func (a *Analysis) Branches() map[int32]bpred.BranchStats { return a.bp.bp.PerBranch() }

@@ -44,7 +44,7 @@ func TestAnalyzeRunsMatchesLive(t *testing.T) {
 		wantProf := RenderProfile(name, "test", live, 10)
 		ir := recordTrace(t, name, prog, slabs, 1<<12)
 
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
 			a, err := AnalyzeRuns(context.Background(), prog, src, workers)
 			src.Close()

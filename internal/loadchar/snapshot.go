@@ -328,7 +328,9 @@ func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 	if a.cache.l1miss, err = mapToDense(s.L1Miss, len(prog.Insts)); err != nil {
 		return nil, err
 	}
-	a.bp.bp = bpred.RestoreTracker(s.Branches, s.BranchTotal)
+	if a.bp.bp, err = bpred.RestoreTracker(s.Branches, s.BranchTotal, len(prog.Insts)); err != nil {
+		return nil, fmt.Errorf("loadchar: snapshot: %w", err)
+	}
 	a.dep.init(len(prog.Insts))
 	if a.dep.toBranch, err = mapToDense(s.ToBranch, len(prog.Insts)); err != nil {
 		return nil, err

@@ -3,7 +3,10 @@ package loadchar
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"testing"
+
+	"bioperfload/internal/bpred"
 )
 
 // TestSnapshotRoundTrip proves a snapshot — including a gob
@@ -73,4 +76,38 @@ func TestRestoredAnalysisCannotObserve(t *testing.T) {
 		}
 	}()
 	restored.ObserveBatch(slabs[0])
+}
+
+// TestSnapshotBranchPCRejected: a snapshot's branch table comes from
+// untrusted bytes, so a PC outside the program is an error, never a
+// panic or a program-unrelated allocation.
+func TestSnapshotBranchPCRejected(t *testing.T) {
+	prog, live, _ := captureSlabs(t, "predator")
+	for _, pc := range []int32{-1, int32(len(prog.Insts)), math.MaxInt32} {
+		snap := live.Snapshot()
+		s := bpred.BranchStats{Executed: 1}
+		snap.Branches[pc] = s
+		snap.BranchTotal.Executed++
+		if _, err := FromSnapshot(prog, snap); err == nil {
+			t.Errorf("branch PC %d accepted for a %d-instruction program", pc, len(prog.Insts))
+		}
+	}
+}
+
+// TestSnapshotBranchTotalRejected: per-branch stats that do not sum to
+// the branch total are inconsistent (Merge, Sub and Scale all keep the
+// sums) and must be refused.
+func TestSnapshotBranchTotalRejected(t *testing.T) {
+	prog, live, _ := captureSlabs(t, "predator")
+	for _, bump := range []func(*bpred.BranchStats){
+		func(s *bpred.BranchStats) { s.Executed++ },
+		func(s *bpred.BranchStats) { s.Mispredicts++ },
+		func(s *bpred.BranchStats) { s.Taken++ },
+	} {
+		snap := live.Snapshot()
+		bump(&snap.BranchTotal)
+		if _, err := FromSnapshot(prog, snap); err == nil {
+			t.Errorf("mismatched branch total %+v accepted", snap.BranchTotal)
+		}
+	}
 }

@@ -238,7 +238,7 @@ func NewModel(cfg Config) *Model {
 	cfg = cfg.Normalized()
 	newPred := cfg.Predictor
 	if newPred == nil {
-		newPred = func() bpred.Predictor { return bpred.NewPaperHybrid() }
+		newPred = func() bpred.Predictor { return bpred.NewHybrid() }
 	}
 	return &Model{
 		cfg:        cfg,

@@ -1,16 +1,20 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"bioperfload/internal/bio"
+	"bioperfload/internal/bpred"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/loadchar"
 	"bioperfload/internal/store"
@@ -176,6 +180,69 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 	}
 	if st := s3.Stats(); st.Runs != 0 || st.ProfileHits+st.ReplayRuns != 1 {
 		t.Fatalf("re-recorded artifacts not served warm: %+v", st)
+	}
+}
+
+// TestStoreBadBranchPCEvicted stores a well-formed profile artifact
+// whose branch table names a PC outside the program: the snapshot tier
+// must evict it rather than panic, serve the request by trace replay,
+// and re-persist a valid snapshot.
+func TestStoreBadBranchPCEvicted(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Fingerprint(p, false, compiler.Default())
+	key := profKey(fp, bio.SizeTest)
+	for _, pc := range []int32{-1, math.MaxInt32} {
+		st := openStore(t, t.TempDir())
+		cold, err := NewSessionWithStore(1, st).Characterize(ctx, p, bio.SizeTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), cold.Analysis, 10)
+
+		data, ok := st.GetBytes(key)
+		if !ok {
+			t.Fatal("cold run persisted no snapshot")
+		}
+		art, err := decodeProfileArtifact(data, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art.Snap.Branches[pc] = bpred.BranchStats{Executed: 1}
+		art.Snap.BranchTotal.Executed++
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(art); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutBytes(key, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+
+		s := NewSessionWithStore(1, st)
+		prof, err := s.Characterize(ctx, p, bio.SizeTest)
+		if err != nil {
+			t.Fatalf("pc %d: %v", pc, err)
+		}
+		if stats := s.Stats(); stats.ProfileHits != 0 || stats.ReplayRuns != 1 || stats.Runs != 0 {
+			t.Errorf("pc %d: bad snapshot not evicted to replay: %+v", pc, stats)
+		}
+		if got := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof.Analysis, 10); got != want {
+			t.Errorf("pc %d: replayed profile differs from the cold one", pc)
+		}
+		data, ok = st.GetBytes(key)
+		if !ok {
+			t.Fatalf("pc %d: no snapshot re-persisted", pc)
+		}
+		if art, err = decodeProfileArtifact(data, fp); err != nil {
+			t.Fatal(err)
+		}
+		if _, bad := art.Snap.Branches[pc]; bad {
+			t.Errorf("pc %d: the bad snapshot is still stored", pc)
+		}
+		st.Close()
 	}
 }
 

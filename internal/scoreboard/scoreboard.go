@@ -54,10 +54,9 @@ const (
 // attach via sim.Machine.AddBatchObserver, and after the run call
 // Finalize with the functional instruction count before reading Stats.
 type Model struct {
-	cfg    pipeline.Config
-	hier   *cache.Hierarchy
-	pred   *bpred.DenseShard // the paper hybrid, PC-indexed
-	custom bpred.Predictor   // overrides pred when cfg.Predictor is set
+	cfg  pipeline.Config
+	hier *cache.Hierarchy
+	pred bpred.Predictor // cfg.Predictor, or the paper hybrid
 
 	stats pipeline.Stats
 
@@ -122,9 +121,9 @@ func NewModel(cfg pipeline.Config) *Model {
 	}
 	m.ring = make([]int64, cfg.WindowSize)
 	if cfg.Predictor != nil {
-		m.custom = cfg.Predictor()
+		m.pred = cfg.Predictor()
 	} else {
-		m.pred = bpred.NewPaperDenseShard()
+		m.pred = bpred.NewHybrid()
 	}
 	return m
 }
@@ -230,14 +229,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// feeding load's cache latency through regReady.
 	if isa.IsCondBranch(in.Op) {
 		m.stats.CondBranches++
-		var miss bool
-		if m.custom != nil {
-			miss = m.custom.Predict(ev.PC) != ev.Taken
-			m.custom.Update(ev.PC, ev.Taken)
-		} else {
-			miss = m.pred.Observe(ev.PC, ev.Taken)
-		}
-		if miss {
+		if m.pred.Observe(ev.PC, ev.Taken) {
 			m.stats.Mispredicts++
 			if f := complete + int64(m.cfg.MispredictPenalty+m.cfg.FrontEndDepth); f > m.cursor {
 				m.cursor = f

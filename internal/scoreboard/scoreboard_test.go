@@ -3,6 +3,7 @@ package scoreboard
 import (
 	"testing"
 
+	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/pipeline"
@@ -207,6 +208,30 @@ func TestMispredictRedirectStalls(t *testing.T) {
 	}
 	if min := s.Mispredicts * 15; s.Cycles < min {
 		t.Errorf("Cycles = %d with %d misses, want >= %d", s.Cycles, s.Mispredicts, min)
+	}
+}
+
+// The scoreboard honours cfg.Predictor, as the full model does: on a
+// loop back-edge taken every time, the default hybrid learns the
+// branch while an injected always-not-taken predictor misses it on
+// every execution.
+func TestCustomPredictorInjection(t *testing.T) {
+	const n = 500
+	evs := make([]sim.Event, 0, n)
+	for i := 0; i < n; i++ {
+		evs = append(evs, condBranch(7, true))
+	}
+	def := newTestModel(nil)
+	def.ObserveBatch(evs)
+	if s := def.Stats(); s.Mispredicts > 5 {
+		t.Fatalf("default hybrid: %d mispredicts on an always-taken branch", s.Mispredicts)
+	}
+	custom := newTestModel(func(c *pipeline.Config) {
+		c.Predictor = func() bpred.Predictor { return &bpred.Static{Taken: false} }
+	})
+	custom.ObserveBatch(evs)
+	if s := custom.Stats(); s.Mispredicts != n {
+		t.Fatalf("always-not-taken: %d mispredicts, want %d", s.Mispredicts, n)
 	}
 }
 

@@ -326,15 +326,10 @@ type sweepSpec struct {
 }
 
 func parseSizeDefault(s string) (bio.Size, error) {
-	switch s {
-	case "", "classB", "b", "B":
+	if s == "" {
 		return bio.SizeB, nil
-	case "test":
-		return bio.SizeTest, nil
-	case "classC", "c", "C":
-		return bio.SizeC, nil
 	}
-	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
+	return bio.ParseSize(s)
 }
 
 // parseFidelityDefault resolves a request's fidelity field. Unlike

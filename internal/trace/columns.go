@@ -55,28 +55,29 @@ func parseFrameBytes(buf []byte) (frame, error) {
 // ownership when chunk decode costs are skewed — exactly the shape a
 // run-native trace has, where a loop-dominated chunk is a handful of tokens
 // and a branchy one is thousands). Commit order is restored by a slot
-// ring: chunk c is delivered through slot (c-lo) mod window, and the
-// slot's gate admits a claimant only after the chunk one window
-// earlier has been consumed, which simultaneously bounds decoded
-// chunks in flight. Decode slabs are recycled through a sync.Pool,
-// so steady-state decoding allocates nothing.
+// ring: chunk c is delivered through slot (c-lo) mod window, and its
+// claimant may decode it only once the chunk one window earlier — the
+// slot's previous occupant — has been consumed, which simultaneously
+// bounds decoded chunks in flight. Admission is by chunk number, not
+// by a per-slot token, so the claimant of c+window can never be
+// admitted ahead of c's and be delivered in its place. Decode slabs
+// are recycled through a sync.Pool, so steady-state decoding
+// allocates nothing.
 type columnSource struct {
-	slots []colSlot
+	slots []chan colMsg // the delivery ring; cap 1: a slot's decoded chunk or error
 	claim atomic.Int64
 	pool  sync.Pool // *runstream.Chunk decode slabs
-	stop  chan struct{}
-	once  sync.Once
 	wg    sync.WaitGroup
 	lo    int
 	hi    int
 	next  int
 	err   error
-}
 
-// colSlot is one position of the delivery ring.
-type colSlot struct {
-	gate chan struct{} // cap 1, seeded: admits the slot's next claimant
-	msg  chan colMsg   // cap 1: the slot's decoded chunk or error
+	// mu guards admitted and stopped; cond broadcasts changes to either.
+	mu       sync.Mutex
+	cond     *sync.Cond
+	admitted int // chunks below this may be decoded: next + window
+	stopped  bool
 }
 
 type colMsg struct {
@@ -86,7 +87,7 @@ type colMsg struct {
 
 // chunksPerWorker sizes the delivery ring per worker: how many decoded
 // chunks may sit between the claim frontier and the consumer before
-// claimants block on their slot gates.
+// claimants wait for admission.
 const chunksPerWorker = 3
 
 // Columns returns a column source over chunks [lo, hi), decoded by a
@@ -106,7 +107,8 @@ func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi,
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	s := &columnSource{stop: make(chan struct{}), lo: lo, hi: hi, next: lo}
+	s := &columnSource{lo: lo, hi: hi, next: lo}
+	s.cond = sync.NewCond(&s.mu)
 	s.claim.Store(int64(lo))
 	if workers == 0 {
 		return s // empty range: Next returns io.EOF immediately
@@ -121,11 +123,11 @@ func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi,
 	if window > hi-lo {
 		window = hi - lo
 	}
-	s.slots = make([]colSlot, window)
+	s.slots = make([]chan colMsg, window)
 	for i := range s.slots {
-		s.slots[i] = colSlot{gate: make(chan struct{}, 1), msg: make(chan colMsg, 1)}
-		s.slots[i].gate <- struct{}{}
+		s.slots[i] = make(chan colMsg, 1)
 	}
+	s.admitted = lo + window
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
 		go s.worker(ctx, ir)
@@ -139,28 +141,39 @@ func (s *columnSource) worker(ctx context.Context, ir *IndexedReader) {
 	var buf []byte
 	for {
 		c := int(s.claim.Add(1)) - 1
-		if c >= s.hi {
-			return
-		}
-		slot := &s.slots[(c-s.lo)%len(s.slots)]
-		select {
-		case <-slot.gate:
-		case <-s.stop:
+		if c >= s.hi || !s.admit(c) {
 			return
 		}
 		var msg colMsg
 		msg.ch, msg.err = s.decodeChunk(ctx, ir, dec, &buf, c)
-		select {
-		case slot.msg <- msg:
-		case <-s.stop:
-			return
-		}
+		// Never blocks: admission means the slot's previous occupant
+		// has been consumed.
+		s.slots[(c-s.lo)%len(s.slots)] <- msg
 		if msg.err != nil {
 			// The consumer sees the error at this chunk's ordered
-			// position and closes stop; don't claim past it.
+			// position and stops the source; don't claim past it.
 			return
 		}
 	}
+}
+
+// admit waits until chunk c may be decoded, reporting false if the
+// source is stopped first.
+func (s *columnSource) admit(c int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c >= s.admitted && !s.stopped {
+		s.cond.Wait()
+	}
+	return !s.stopped
+}
+
+// stop releases every worker waiting for admission; it is idempotent.
+func (s *columnSource) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // decodeChunk reads, validates, and column-decodes chunk c into a
@@ -200,15 +213,17 @@ func (s *columnSource) Next() (*runstream.Chunk, func(), error) {
 	if s.next >= s.hi {
 		return nil, nil, io.EOF
 	}
-	slot := &s.slots[(s.next-s.lo)%len(s.slots)]
-	msg := <-slot.msg
+	msg := <-s.slots[(s.next-s.lo)%len(s.slots)]
 	if msg.err != nil {
 		s.err = msg.err
-		s.once.Do(func() { close(s.stop) })
+		s.stop()
 		return nil, nil, msg.err
 	}
 	s.next++
-	slot.gate <- struct{}{} // admit the chunk one window later
+	s.mu.Lock()
+	s.admitted = s.next + len(s.slots) // admit the chunk one window later
+	s.mu.Unlock()
+	s.cond.Broadcast()
 	ch := msg.ch
 	release := func() { s.pool.Put(ch) }
 	return ch, release, nil
@@ -218,6 +233,6 @@ func (s *columnSource) Next() (*runstream.Chunk, func(), error) {
 // is safe to call at any time; in-flight chunks stay valid until their
 // release functions run.
 func (s *columnSource) Close() {
-	s.once.Do(func() { close(s.stop) })
+	s.stop()
 	s.wg.Wait()
 }
